@@ -82,6 +82,29 @@ class MemoryJournalStorage : public JournalStorage {
   std::string snapshot_;
 };
 
+// Non-owning forwarder: PersistenceManager owns its storage, but storage
+// that must outlive the manager (a restarted daemon re-attaching to the
+// same journal, or a second manager reading the same bytes) is lent
+// through this instead.
+class ForwardingStorage : public JournalStorage {
+ public:
+  explicit ForwardingStorage(JournalStorage* target) : target_(target) {}
+  void AppendJournal(std::string_view bytes) override {
+    target_->AppendJournal(bytes);
+  }
+  std::string ReadJournal() const override { return target_->ReadJournal(); }
+  void TruncateJournal() override { target_->TruncateJournal(); }
+  void WriteSnapshot(std::string_view bytes) override {
+    target_->WriteSnapshot(bytes);
+  }
+  std::string ReadSnapshot() const override {
+    return target_->ReadSnapshot();
+  }
+
+ private:
+  JournalStorage* target_;
+};
+
 // File-backed storage rooted at a directory: `<dir>/journal.wal` +
 // `<dir>/snapshot.bin`. Journal appends are flushed per record; the
 // snapshot is replaced via WriteFileAtomic.

@@ -46,26 +46,88 @@ PersistenceManager::PersistenceManager(
 
 int64_t PersistenceManager::Append(const DurableEvent& event) {
   storage_->AppendJournal(EncodeFrame(EncodeEvent(event)));
+  ApplyEvent(image_, event);
   ++journal_records_;
   Instruments().appends->Increment();
   return journal_records_;
 }
 
-void PersistenceManager::Checkpoint(const RecoveredState& state) {
-  storage_->WriteSnapshot(EncodeSnapshot(state));
+void PersistenceManager::Checkpoint(SimTime now) {
+  image_.checkpoint_time = now;
+  storage_->WriteSnapshot(EncodeSnapshot(image_));
   storage_->TruncateJournal();
   journal_records_ = 0;
   ++snapshots_taken_;
   Instruments().snapshots->Increment();
 }
 
-bool PersistenceManager::MaybeCheckpoint(const RecoveredState& state) {
+void PersistenceManager::Checkpoint(RecoveredState state) {
+  image_ = std::move(state);
+  Checkpoint(image_.checkpoint_time);
+}
+
+bool PersistenceManager::MaybeCheckpoint(SimTime now) {
   if (options_.snapshot_every <= 0 ||
       journal_records_ < options_.snapshot_every) {
     return false;
   }
-  Checkpoint(state);
+  Checkpoint(now);
   return true;
+}
+
+namespace {
+
+GangRecord GangOf(const Placement& placement, SimTime start) {
+  return GangRecord{placement.job, placement.counts, start,
+                    start + placement.est_duration, placement.est_duration};
+}
+
+}  // namespace
+
+void PersistenceManager::JournalIntent(
+    SimTime now, const SchedulerPolicy::Decision& decision) {
+  if (decision.stats.plan_ahead_adapted != 0) {
+    // AIMD adaptation record (DESIGN.md §13): informational for journal
+    // inspection; the authoritative adapted state rides the kCommitApplied
+    // policy blob.
+    DurableEvent adapt;
+    adapt.kind = DurableEventKind::kPlanAheadAdapt;
+    adapt.time = now;
+    adapt.k = decision.stats.plan_ahead_adapted;
+    adapt.runtime = decision.stats.effective_plan_ahead;
+    Append(adapt);
+  }
+  DurableEvent intent;
+  intent.kind = DurableEventKind::kCommitIntent;
+  intent.time = now;
+  for (const Placement& placement : decision.start_now) {
+    intent.gangs.push_back(GangOf(placement, now));
+  }
+  intent.drops = decision.drop;
+  intent.preempts = decision.preempt;
+  Append(intent);
+}
+
+void PersistenceManager::JournalLaunch(SimTime now, const Placement& placement,
+                                       SimTime start) {
+  DurableEvent launch;
+  launch.kind = DurableEventKind::kGangLaunch;
+  launch.time = now;
+  launch.job = placement.job;
+  launch.gang = GangOf(placement, start);
+  Append(launch);
+}
+
+void PersistenceManager::JournalApplied(SimTime now,
+                                        std::string policy_state) {
+  // kCommitApplied closes the cycle even when nothing was placed, so a
+  // stale warm-start blob never outlives the cycle that cleared it.
+  DurableEvent applied;
+  applied.kind = DurableEventKind::kCommitApplied;
+  applied.time = now;
+  applied.blob = std::move(policy_state);
+  Append(applied);
+  MaybeCheckpoint(now);
 }
 
 RecoveryResult PersistenceManager::Recover() {
@@ -123,6 +185,7 @@ RecoveryResult PersistenceManager::Recover() {
     storage_->AppendJournal(prefix);
   }
   journal_records_ = result.replayed;
+  image_ = result.state;
 
   result.recover_ms =
       std::chrono::duration<double, std::milli>(

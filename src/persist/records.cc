@@ -93,20 +93,22 @@ bool GetRayon(ByteReader& reader, RayonState* rayon) {
   return reader.ok();
 }
 
+// Adds `delta` to the agenda step at `time` (inserting it if absent).
+void Bump(RayonState& rayon, SimTime time, int delta) {
+  auto it = std::lower_bound(
+      rayon.deltas.begin(), rayon.deltas.end(), time,
+      [](const auto& entry, SimTime t) { return entry.first < t; });
+  if (it != rayon.deltas.end() && it->first == time) {
+    it->second += delta;
+  } else {
+    rayon.deltas.insert(it, {time, delta});
+  }
+}
+
 // Mirrors RayonAdmission::Submit's agenda arithmetic (no zero-erase).
 void RayonReplayAdmit(RayonState& rayon, TimeRange interval, int k) {
-  auto bump = [&](SimTime time, int delta) {
-    auto it = std::lower_bound(
-        rayon.deltas.begin(), rayon.deltas.end(), time,
-        [](const auto& entry, SimTime t) { return entry.first < t; });
-    if (it != rayon.deltas.end() && it->first == time) {
-      it->second += delta;
-    } else {
-      rayon.deltas.insert(it, {time, delta});
-    }
-  };
-  bump(interval.start, k);
-  bump(interval.end, -k);
+  Bump(rayon, interval.start, k);
+  Bump(rayon, interval.end, -k);
   ++rayon.num_accepted;
 }
 
@@ -115,26 +117,12 @@ void RayonReplayRelease(RayonState& rayon, TimeRange interval, int k) {
   if (interval.empty() || k <= 0) {
     return;
   }
-  auto bump = [&](SimTime time, int delta) {
-    auto it = std::lower_bound(
-        rayon.deltas.begin(), rayon.deltas.end(), time,
-        [](const auto& entry, SimTime t) { return entry.first < t; });
-    if (it != rayon.deltas.end() && it->first == time) {
-      it->second += delta;
-    } else {
-      rayon.deltas.insert(it, {time, delta});
-    }
-  };
-  bump(interval.start, -k);
-  bump(interval.end, k);
-  for (SimTime time : {interval.start, interval.end}) {
-    auto it = std::lower_bound(
-        rayon.deltas.begin(), rayon.deltas.end(), time,
-        [](const auto& entry, SimTime t) { return entry.first < t; });
-    if (it != rayon.deltas.end() && it->first == time && it->second == 0) {
-      rayon.deltas.erase(it);
-    }
-  }
+  Bump(rayon, interval.start, -k);
+  Bump(rayon, interval.end, k);
+  std::erase_if(rayon.deltas, [&](const auto& entry) {
+    return entry.second == 0 &&
+           (entry.first == interval.start || entry.first == interval.end);
+  });
 }
 
 }  // namespace

@@ -24,28 +24,6 @@ double MsSince(SteadyClock::time_point start) {
       .count();
 }
 
-// PersistenceManager owns its storage; the daemon's storage must outlive
-// restarts (the whole point of the journal), so hand the manager a
-// non-owning forwarder instead.
-class ForwardingStorage : public JournalStorage {
- public:
-  explicit ForwardingStorage(JournalStorage* target) : target_(target) {}
-  void AppendJournal(std::string_view bytes) override {
-    target_->AppendJournal(bytes);
-  }
-  std::string ReadJournal() const override { return target_->ReadJournal(); }
-  void TruncateJournal() override { target_->TruncateJournal(); }
-  void WriteSnapshot(std::string_view bytes) override {
-    target_->WriteSnapshot(bytes);
-  }
-  std::string ReadSnapshot() const override {
-    return target_->ReadSnapshot();
-  }
-
- private:
-  JournalStorage* target_;
-};
-
 struct ServiceInstruments {
   Counter* admitted;
   Counter* rejected;
@@ -166,9 +144,17 @@ void SchedulerDaemon::RecoverFromJournal() {
   }
   RecoveryResult result = persist_->Recover();
   const RecoveredState& state = result.state;
-  now_ = state.checkpoint_time;
-  rayon_.Restore(state.rayon);
-  if (!state.policy_state.empty()) {
+  if (!result.snapshot_loaded && result.replayed == 0) {
+    // First start: seed the recovery image with the live Rayon agenda (its
+    // capacity is the cluster's, which no journal record carries) and the
+    // fresh policy's state, as the simulator does at run start.
+    RecoveredState seed;
+    seed.rayon = rayon_.ExportState();
+    seed.policy_state = scheduler_.ExportDurableState();
+    persist_->Checkpoint(std::move(seed));
+  } else {
+    now_ = state.checkpoint_time;
+    rayon_.Restore(state.rayon);
     scheduler_.ImportDurableState(state.policy_state);
   }
   JobId max_id = 0;
@@ -187,11 +173,13 @@ void SchedulerDaemon::RecoverFromJournal() {
       continue;
     }
     entry.job.id = job_id;
+    entry.job.slo_class = BaseSloClass(entry.job);
     entry.client = "(recovered)";
     entry.accepted_at = entry.job.submit;
     max_id = std::max(max_id, job_id);
-    // Reservation class survives via the journaled kSloUpdate records.
-    if (auto slo = state.slo.find(job_id); slo != state.slo.end()) {
+    // Rayon's verdict survives via the journaled kSloUpdate records.
+    auto slo = state.slo.find(job_id);
+    if (slo != state.slo.end()) {
       entry.job.slo_class = static_cast<SloClass>(slo->second.slo_class);
       entry.job.reservation = slo->second.reservation;
     }
@@ -199,17 +187,21 @@ void SchedulerDaemon::RecoverFromJournal() {
         gang != state.running.end()) {
       // Adopt the journaled running gang: the daemon persists its RM view,
       // and (as in the paper's YARN deployment) running work survives a
-      // scheduler restart.
+      // scheduler restart. The journal holds the scheduler's estimate; the
+      // true end follows from the job's actual runtime on the placement
+      // quality that estimate was planned for.
       entry.state = JobState::kRunning;
       entry.start = gang->second.start;
       entry.placement = gang->second.counts;
-      // Belief == truth in service mode, so the journaled expected end is
-      // the completion instant; infer placement quality from it.
-      entry.end = gang->second.expected_end;
-      entry.preferred = gang->second.est_duration <= entry.job.actual_runtime;
+      entry.preferred = gang->second.est_duration <=
+                        entry.job.EstimatedRuntime(/*preferred=*/true);
+      entry.end = entry.start + entry.job.ActualRuntime(entry.preferred);
       ++running_count_;
       ++recovered_running_;
     } else {
+      if (entry.job.wants_reservation && slo == state.slo.end()) {
+        Reserve(entry.job);  // accepted but still queued at the crash
+      }
       entry.state = JobState::kPending;
       pending_.push_back(job_id);
       ++recovered_pending_;
@@ -233,56 +225,13 @@ void SchedulerDaemon::RecoverFromJournal() {
   }
 }
 
-RecoveredState SchedulerDaemon::BuildRecoveredState() const {
-  RecoveredState state;
-  state.checkpoint_time = now_;
-  state.rayon = rayon_.ExportState();
-  state.policy_state = scheduler_.ExportDurableState();
-  for (const auto& [job_id, entry] : jobs_) {
-    switch (entry.state) {
-      case JobState::kQueued:
-      case JobState::kPending:
-        state.service_jobs[job_id] = JobSpecToJson(entry.job);
-        break;
-      case JobState::kRunning: {
-        state.service_jobs[job_id] = JobSpecToJson(entry.job);
-        GangRecord gang;
-        gang.job = job_id;
-        gang.counts = entry.placement;
-        gang.start = entry.start;
-        gang.expected_end = entry.end;
-        gang.est_duration = entry.end - entry.start;
-        state.running[job_id] = gang;
-        break;
-      }
-      case JobState::kCompleted:
-      case JobState::kDropped:
-      case JobState::kCancelled:
-        state.finished.insert(job_id);
-        break;
-    }
-    if (entry.job.is_slo()) {
-      state.slo[job_id] =
-          SloRecord{job_id, static_cast<uint8_t>(entry.job.slo_class),
-                    entry.job.reservation};
-    }
-  }
-  return state;
-}
-
 void SchedulerDaemon::FinalCheckpoint() {
   if (persist_ == nullptr) {
     return;
   }
-  persist_->Checkpoint(BuildRecoveredState());
+  persist_->Checkpoint(now_);
   TETRI_LOG(kInfo) << "tetrischedd final checkpoint at t=" << now_ << " ("
                    << jobs_.size() << " jobs tracked)";
-}
-
-void SchedulerDaemon::Journal(const DurableEvent& event) {
-  if (persist_ != nullptr) {
-    persist_->Append(event);
-  }
 }
 
 // --- serving ---------------------------------------------------------------
@@ -466,13 +415,15 @@ void SchedulerDaemon::CompleteFinishedGangs() {
     --running_count_;
     ++completed_;
     Instruments().completed->Increment();
-    DurableEvent event;
-    event.kind = DurableEventKind::kGangComplete;
-    event.time = now_;
-    event.job = job_id;
-    event.preferred = entry.preferred;
-    event.runtime = entry.end - entry.start;
-    Journal(event);
+    if (persist_ != nullptr) {
+      DurableEvent event;
+      event.kind = DurableEventKind::kGangComplete;
+      event.time = now_;
+      event.job = job_id;
+      event.preferred = entry.preferred;
+      event.runtime = entry.end - entry.start;
+      persist_->Append(event);
+    }
     if (ProvenanceRecorder::Global().enabled()) {
       ProvenanceRecord record;
       record.kind = ProvKind::kCompleted;
@@ -497,48 +448,11 @@ void SchedulerDaemon::DrainIntakeIntoPending() {
       continue;  // cancelled while queued
     }
     JobEntry& entry = it->second;
-    // Rayon admission for reservation seekers, with the simulator's
-    // conservative fallback-runtime estimate.
     if (entry.job.wants_reservation) {
-      RdlRequest request;
-      request.requester = job_id;
-      request.k = entry.job.k;
-      request.duration = entry.job.EstimatedRuntime(/*preferred=*/false);
-      request.window_start = now_;
-      request.window_end = entry.job.deadline;
-      ReservationDecision decision = rayon_.Submit(request);
-      DurableEvent rayon_event;
-      rayon_event.time = now_;
-      rayon_event.job = job_id;
-      if (decision.accepted) {
-        entry.job.slo_class = SloClass::kSloAccepted;
-        entry.job.reservation = decision.interval;
-        rayon_event.kind = DurableEventKind::kRayonAdmit;
-        rayon_event.k = request.k;
-        rayon_event.interval = decision.interval;
-      } else {
-        entry.job.slo_class = SloClass::kSloUnreserved;
-        rayon_event.kind = DurableEventKind::kRayonReject;
-      }
-      Journal(rayon_event);
-      DurableEvent slo_event;
-      slo_event.kind = DurableEventKind::kSloUpdate;
-      slo_event.time = now_;
-      slo_event.job = job_id;
-      slo_event.slo_class = static_cast<uint8_t>(entry.job.slo_class);
-      slo_event.interval = entry.job.reservation;
-      Journal(slo_event);
-    } else if (entry.job.deadline != kTimeNever) {
-      entry.job.slo_class = SloClass::kSloUnreserved;
+      Reserve(entry.job);
     }
     entry.state = JobState::kPending;
     pending_.push_back(job_id);
-    DurableEvent event;
-    event.kind = DurableEventKind::kServiceSubmit;
-    event.time = now_;
-    event.job = job_id;
-    event.blob = JobSpecToJson(entry.job);
-    Journal(event);
     if (ProvenanceRecorder::Global().enabled()) {
       ProvenanceRecord record;
       record.kind = ProvKind::kArrival;
@@ -547,6 +461,36 @@ void SchedulerDaemon::DrainIntakeIntoPending() {
       record.label = tetrisched::ToString(entry.job.type);
       ProvenanceRecorder::Global().Record(std::move(record));
     }
+  }
+}
+
+void SchedulerDaemon::Reserve(Job& job) {
+  // The simulator's conservative fallback-runtime estimate sizes the block.
+  RdlRequest request;
+  request.requester = job.id;
+  request.k = job.k;
+  request.duration = job.EstimatedRuntime(/*preferred=*/false);
+  request.window_start = now_;
+  request.window_end = job.deadline;
+  ReservationDecision decision = rayon_.Submit(request);
+  if (decision.accepted) {
+    job.slo_class = SloClass::kSloAccepted;
+    job.reservation = decision.interval;
+  }
+  if (persist_ != nullptr) {
+    DurableEvent event;
+    event.kind = decision.accepted ? DurableEventKind::kRayonAdmit
+                                   : DurableEventKind::kRayonReject;
+    event.time = now_;
+    event.job = job.id;
+    event.k = job.k;
+    event.interval = decision.interval;
+    persist_->Append(event);
+    event.kind = DurableEventKind::kSloUpdate;
+    event.k = 0;
+    event.interval = job.reservation;
+    event.slo_class = static_cast<uint8_t>(job.slo_class);
+    persist_->Append(event);
   }
 }
 
@@ -570,11 +514,13 @@ void SchedulerDaemon::DropJob(JobId job, JobState reason, const char* why) {
   }
   pending_.erase(std::remove(pending_.begin(), pending_.end(), job),
                  pending_.end());
-  DurableEvent event;
-  event.kind = DurableEventKind::kJobDropped;
-  event.time = now_;
-  event.job = job;
-  Journal(event);
+  if (persist_ != nullptr) {
+    DurableEvent event;
+    event.kind = DurableEventKind::kJobDropped;
+    event.time = now_;
+    event.job = job;
+    persist_->Append(event);
+  }
   if (ProvenanceRecorder::Global().enabled()) {
     ProvenanceRecord record;
     record.kind = ProvKind::kDropped;
@@ -588,21 +534,9 @@ void SchedulerDaemon::DropJob(JobId job, JobState reason, const char* why) {
 void SchedulerDaemon::ApplyDecision(const SchedulerPolicy::Decision& decision) {
   // Two-phase commit (DESIGN.md §11): intent first, then per-mutation
   // records, then the applied marker with the policy's durable state.
-  DurableEvent intent;
-  intent.kind = DurableEventKind::kCommitIntent;
-  intent.time = now_;
-  for (const Placement& placement : decision.start_now) {
-    GangRecord gang;
-    gang.job = placement.job;
-    gang.counts = placement.counts;
-    gang.start = now_;
-    gang.expected_end = now_ + placement.est_duration;
-    gang.est_duration = placement.est_duration;
-    intent.gangs.push_back(std::move(gang));
+  if (persist_ != nullptr) {
+    persist_->JournalIntent(now_, decision);
   }
-  intent.drops = decision.drop;
-  Journal(intent);
-
   for (const Placement& placement : decision.start_now) {
     auto it = jobs_.find(placement.job);
     if (it == jobs_.end() || it->second.state != JobState::kPending) {
@@ -613,23 +547,16 @@ void SchedulerDaemon::ApplyDecision(const SchedulerPolicy::Decision& decision) {
     entry.start = now_;
     entry.preferred = placement.preferred_belief;
     entry.placement = placement.counts;
-    // Belief == truth in service mode (exact estimates), so the actual end
-    // is the believed end.
+    // The scheduler planned with an estimate; the gang really ends after
+    // the job's actual runtime on this placement quality.
     entry.end = now_ + entry.job.ActualRuntime(entry.preferred);
     ++running_count_;
     pending_.erase(
         std::remove(pending_.begin(), pending_.end(), placement.job),
         pending_.end());
-    DurableEvent event;
-    event.kind = DurableEventKind::kGangLaunch;
-    event.time = now_;
-    event.job = placement.job;
-    event.gang.job = placement.job;
-    event.gang.counts = placement.counts;
-    event.gang.start = now_;
-    event.gang.expected_end = now_ + placement.est_duration;
-    event.gang.est_duration = placement.est_duration;
-    Journal(event);
+    if (persist_ != nullptr) {
+      persist_->JournalLaunch(now_, placement, now_);
+    }
     if (ProvenanceRecorder::Global().enabled()) {
       ProvenanceRecord record;
       record.kind = ProvKind::kStart;
@@ -644,11 +571,9 @@ void SchedulerDaemon::ApplyDecision(const SchedulerPolicy::Decision& decision) {
     DropJob(job, JobState::kDropped, "deadline unreachable");
   }
 
-  DurableEvent applied;
-  applied.kind = DurableEventKind::kCommitApplied;
-  applied.time = now_;
-  applied.blob = scheduler_.ExportDurableState();
-  Journal(applied);
+  if (persist_ != nullptr) {
+    persist_->JournalApplied(now_, scheduler_.ExportDurableState());
+  }
 }
 
 void SchedulerDaemon::RunCycle() {
@@ -657,9 +582,9 @@ void SchedulerDaemon::RunCycle() {
   }
   ++cycles_;
   CompleteFinishedGangs();
-  if (!draining_) {
-    DrainIntakeIntoPending();
-  }
+  // Queued jobs were acknowledged (and journaled), so they drain into the
+  // pending set even while draining; only new submissions are refused.
+  DrainIntakeIntoPending();
 
   std::vector<const Job*> pending_jobs;
   pending_jobs.reserve(pending_.size());
@@ -705,9 +630,6 @@ void SchedulerDaemon::RunCycle() {
     ApplyDecision(decision);
   }
 
-  if (persist_ != nullptr) {
-    persist_->MaybeCheckpoint(BuildRecoveredState());
-  }
   Instruments().inflight->Set(static_cast<double>(
       intake_.size() + static_cast<int64_t>(pending_.size()) +
       running_count_));
@@ -811,6 +733,7 @@ std::string SchedulerDaemon::HandleSubmit(const ServiceRequest& request,
   }
   job.id = next_job_id_++;
   job.submit = now_;
+  job.slo_class = BaseSloClass(job);
 
   QueuedSubmission submission;
   submission.job = job;
@@ -823,6 +746,15 @@ std::string SchedulerDaemon::HandleSubmit(const ServiceRequest& request,
     --next_job_id_;  // id was never exposed; reuse it
     return ErrorResponse(request.req_id, kErrOverloaded, verdict.reason,
                          verdict.retry_after_ms);
+  }
+  // Acknowledged means durable: journal the acceptance before the reply.
+  if (persist_ != nullptr) {
+    DurableEvent event;
+    event.kind = DurableEventKind::kServiceSubmit;
+    event.time = now_;
+    event.job = job.id;
+    event.blob = JobSpecToJson(job);
+    persist_->Append(event);
   }
   JobEntry entry;
   entry.job = job;

@@ -171,7 +171,6 @@ class SchedulerDaemon {
   // --- lifecycle ---------------------------------------------------------
   void RecoverFromJournal();
   void FinalCheckpoint();
-  RecoveredState BuildRecoveredState() const;
 
   // --- serving -----------------------------------------------------------
   void OnListenerReadable(int listener_fd);
@@ -194,10 +193,12 @@ class SchedulerDaemon {
   void RunCycle();
   void CompleteFinishedGangs();
   void DrainIntakeIntoPending();
+  // Rayon admission for a reservation seeker (journaled): accepted jobs
+  // become slo-accepted, rejected ones keep their unreserved class.
+  void Reserve(Job& job);
   void ApplyDecision(const SchedulerPolicy::Decision& decision);
   void DropJob(JobId job, JobState reason, const char* why);
 
-  void Journal(const DurableEvent& event);
   JsonObj JobStatusJson(const JobEntry& entry) const;
   DaemonStatus UnlockedStatus() const;
   void PublishStatus();

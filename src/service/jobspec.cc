@@ -117,6 +117,11 @@ bool JobSpecFromJson(const JsonValue& spec, SimTime now, Job* job,
   return true;
 }
 
+SloClass BaseSloClass(const Job& job) {
+  return job.deadline != kTimeNever ? SloClass::kSloUnreserved
+                                    : SloClass::kBestEffort;
+}
+
 namespace {
 
 // First leaf in pre-order; nullptr for leafless expressions.

@@ -46,6 +46,12 @@ bool JobSpecFromJson(const JsonValue& spec, SimTime now, Job* job,
 bool JobFromStrlText(std::string_view strl_text, SimTime now,
                      int cluster_partitions, Job* job, std::string* error);
 
+// A job's SLO class before Rayon rules on it: deadline jobs are
+// slo-unreserved (Rayon may upgrade a reservation seeker to slo-accepted),
+// the rest best-effort. The class is not part of the spec, so acceptance
+// and journal recovery both derive it here.
+SloClass BaseSloClass(const Job& job);
+
 // Parses JobType names as emitted by ToString(JobType); also accepts
 // "data_local"/"datalocal" for kDataLocal. Returns false on unknown names.
 bool ParseJobType(std::string_view name, JobType* type);

@@ -368,29 +368,21 @@ SimMetrics Simulator::Run() {
     persist = owned_persist.get();
   }
 
-  // Shadow image of the journal: every append is mirrored through
-  // ApplyEvent, so `image` is by construction exactly what Recover() would
-  // reconstruct and can be checkpointed at any consistent point.
-  RecoveredState image;
-  auto durable = [&](const DurableEvent& event) {
-    if (persist == nullptr) {
-      return;
-    }
-    persist->Append(event);
-    ApplyEvent(image, event);
-  };
+  // Seed the manager's recovery image with the run's starting RM view; from
+  // here on every Append mirrors into it (DESIGN.md §11).
   if (persist != nullptr) {
+    RecoveredState seed;
     if (config_.rayon != nullptr) {
-      image.rayon = config_.rayon->ExportState();
+      seed.rayon = config_.rayon->ExportState();
     }
     for (const Job& job : jobs_) {
       if (job.slo_class != SloClass::kBestEffort || job.wants_reservation) {
-        image.slo[job.id] = SloRecord{
+        seed.slo[job.id] = SloRecord{
             job.id, static_cast<uint8_t>(job.slo_class), job.reservation};
       }
     }
-    image.policy_state = policy->ExportDurableState();
-    persist->Checkpoint(image);
+    seed.policy_state = policy->ExportDurableState();
+    persist->Checkpoint(std::move(seed));
   }
 
   int next_arrival = 0;
@@ -557,9 +549,8 @@ SimMetrics Simulator::Run() {
 
     // 8. The reconciled image is the new checkpoint; the journal restarts
     //    empty, so a crash during recovery replays to the same state.
-    image = std::move(st);
-    image.checkpoint_time = now;
-    persist->Checkpoint(image);
+    st.checkpoint_time = now;
+    persist->Checkpoint(std::move(st));
 
     ++metrics.recoveries;
     metrics.journal_replayed += rec.replayed;
@@ -620,7 +611,7 @@ SimMetrics Simulator::Run() {
         drop.kind = DurableEventKind::kJobDropped;
         drop.time = now;
         drop.job = victim;
-        durable(drop);
+        persist->Append(drop);
       }
       --outstanding;
       return;
@@ -656,7 +647,7 @@ SimMetrics Simulator::Run() {
       kill.job = victim;
       kill.retries = outcome.retries;
       kill.eligible_at = eligible_at[i];
-      durable(kill);
+      persist->Append(kill);
     }
 
     // Shrink-or-drop re-admission: an accepted-SLO gang whose
@@ -676,7 +667,7 @@ SimMetrics Simulator::Run() {
         release.job = job.id;
         release.k = job.k;
         release.interval = job.reservation;
-        durable(release);
+        persist->Append(release);
       }
       RdlRequest request;
       request.requester = job.id;
@@ -703,14 +694,14 @@ SimMetrics Simulator::Run() {
         admit.job = job.id;
         admit.k = job.k;
         admit.interval = redo.interval;
-        durable(admit);
+        persist->Append(admit);
         DurableEvent slo;
         slo.kind = DurableEventKind::kSloUpdate;
         slo.time = now;
         slo.job = job.id;
         slo.slo_class = static_cast<uint8_t>(job.slo_class);
         slo.interval = job.reservation;
-        durable(slo);
+        persist->Append(slo);
       }
     }
   };
@@ -723,7 +714,7 @@ SimMetrics Simulator::Run() {
       bump.time = now;
       bump.node = node;
       bump.epoch = comms.fence_epoch(node) + 1;
-      durable(bump);
+      persist->Append(bump);
     }
     comms.FenceNode(node);
   };
@@ -862,16 +853,11 @@ SimMetrics Simulator::Run() {
           prov.Record(std::move(record));
         }
         if (persist != nullptr) {
-          DurableEvent launch;
-          launch.kind = DurableEventKind::kGangLaunch;
-          launch.time = now;
-          launch.job = id;
-          launch.gang.job = id;
-          launch.gang.counts = run.counts;
-          launch.gang.start = run.start;
-          launch.gang.expected_end = run.expected_end;
-          launch.gang.est_duration = run.expected_end - run.start;
-          durable(launch);
+          Placement adopted;
+          adopted.job = id;
+          adopted.counts = run.counts;
+          adopted.est_duration = run.expected_end - run.start;
+          persist->JournalLaunch(now, adopted, run.start);
         }
         if (run.actual_end <= now) {
           // The copy finished while orphaned; the completion surfaces with
@@ -1035,7 +1021,7 @@ SimMetrics Simulator::Run() {
         complete.job = id;
         complete.preferred = metrics.outcomes[i].preferred;
         complete.runtime = time - it->second.start;
-        durable(complete);
+        persist->Append(complete);
       }
       if (prov.enabled()) {
         const Job& job = jobs_[i];
@@ -1345,33 +1331,8 @@ SimMetrics Simulator::Run() {
       // and close with kCommitApplied carrying the policy's durable state.
       // A crash anywhere in between leaves an open intent that recovery
       // reconciles against what actually reached the cluster.
-      if (persist != nullptr && decision.stats.plan_ahead_adapted != 0) {
-        // AIMD adaptation record (DESIGN.md §13): informational for journal
-        // inspection; the authoritative adapted state rides the
-        // kCommitApplied policy blob below.
-        DurableEvent adapt;
-        adapt.kind = DurableEventKind::kPlanAheadAdapt;
-        adapt.time = now;
-        adapt.k = decision.stats.plan_ahead_adapted;
-        adapt.runtime = decision.stats.effective_plan_ahead;
-        durable(adapt);
-      }
       if (persist != nullptr) {
-        DurableEvent intent;
-        intent.kind = DurableEventKind::kCommitIntent;
-        intent.time = now;
-        for (const Placement& placement : decision.start_now) {
-          GangRecord gang;
-          gang.job = placement.job;
-          gang.counts = placement.counts;
-          gang.start = now;
-          gang.expected_end = now + placement.est_duration;
-          gang.est_duration = placement.est_duration;
-          intent.gangs.push_back(std::move(gang));
-        }
-        intent.drops = decision.drop;
-        intent.preempts = decision.preempt;
-        durable(intent);
+        persist->JournalIntent(now, decision);
       }
       if (crash != nullptr && crash->phase == CrashPhase::kCommitIntent) {
         throw SchedulerCrashSignal{};
@@ -1407,7 +1368,7 @@ SimMetrics Simulator::Run() {
           preempt.kind = DurableEventKind::kGangPreempt;
           preempt.time = now;
           preempt.job = id;
-          durable(preempt);
+          persist->Append(preempt);
         }
       }
 
@@ -1434,7 +1395,7 @@ SimMetrics Simulator::Run() {
           drop.kind = DurableEventKind::kJobDropped;
           drop.time = now;
           drop.job = id;
-          durable(drop);
+          persist->Append(drop);
         }
       }
 
@@ -1623,16 +1584,7 @@ SimMetrics Simulator::Run() {
           }
         }
         if (persist != nullptr) {
-          DurableEvent launch;
-          launch.kind = DurableEventKind::kGangLaunch;
-          launch.time = now;
-          launch.job = job.id;
-          launch.gang.job = job.id;
-          launch.gang.counts = placement.counts;
-          launch.gang.start = now;
-          launch.gang.expected_end = now + placement.est_duration;
-          launch.gang.est_duration = placement.est_duration;
-          durable(launch);
+          persist->JournalLaunch(now, placement, now);
         }
       }
 
@@ -1644,15 +1596,7 @@ SimMetrics Simulator::Run() {
       }
 
       if (persist != nullptr) {
-        // kCommitApplied closes the cycle even when nothing was placed, so
-        // a stale warm-start blob never outlives the cycle that cleared it.
-        DurableEvent applied;
-        applied.kind = DurableEventKind::kCommitApplied;
-        applied.time = now;
-        applied.blob = policy->ExportDurableState();
-        durable(applied);
-        image.checkpoint_time = now;
-        persist->MaybeCheckpoint(image);
+        persist->JournalApplied(now, policy->ExportDurableState());
       }
       if (crash != nullptr && crash->phase == CrashPhase::kAfterCommit) {
         throw SchedulerCrashSignal{};

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -106,6 +107,46 @@ JsonObj SmallJob(int64_t runtime = 4) {
   spec.Field("runtime", runtime);
   return spec;
 }
+
+// Journal storage a test can copy while the daemon thread writes to it: a
+// copy taken between two records is exactly what a crash (no final
+// checkpoint) leaves behind.
+class CrashableStorage : public JournalStorage {
+ public:
+  void AppendJournal(std::string_view bytes) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    inner_.AppendJournal(bytes);
+  }
+  std::string ReadJournal() const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return inner_.ReadJournal();
+  }
+  void TruncateJournal() override {
+    std::lock_guard<std::mutex> lock(mu_);
+    inner_.TruncateJournal();
+  }
+  void WriteSnapshot(std::string_view bytes) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    inner_.WriteSnapshot(bytes);
+  }
+  std::string ReadSnapshot() const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return inner_.ReadSnapshot();
+  }
+
+  // The durable bytes as of now, as a fresh storage to restart from.
+  std::unique_ptr<MemoryJournalStorage> CrashCopy() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto copy = std::make_unique<MemoryJournalStorage>();
+    copy->mutable_journal() = inner_.ReadJournal();
+    copy->mutable_snapshot() = inner_.ReadSnapshot();
+    return copy;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  MemoryJournalStorage inner_;
+};
 
 // The acceptance scenario: two clients over socketpairs submit 20 jobs
 // while a third floods past the admission bound. The flooder observes
@@ -314,6 +355,140 @@ TEST(ServiceEndToEndTest, JournalAcceptsNewWorkAfterRestart) {
               1);
     harness.Stop();
   }
+}
+
+// An acknowledged submission is durable: a crash while jobs still wait in
+// the intake queue loses none of them, and reservation seekers Rayon never
+// saw are admitted on recovery.
+TEST(ServiceCrashTest, AcknowledgedQueuedSubmissionsSurviveCrash) {
+  CrashableStorage storage;
+  DaemonOptions options = FastOptions();
+  options.storage = &storage;
+  options.cycle_period_ms = 3000;  // the submissions stay queued
+  options.admission.cycle_period_ms = 3000;
+  options.admission.admit_per_cycle = 1;
+  DaemonHarness harness(options);
+  ASSERT_TRUE(harness.Start());
+  ServiceClient client = harness.Connect("crash-queued");
+  std::vector<int64_t> jobs;
+  for (int i = 0; i < 5; ++i) {
+    JsonObj spec = SmallJob(/*runtime=*/200);
+    spec.Field("deadline_in", static_cast<int64_t>(100000));
+    spec.Field("reservation", true);
+    ServiceReply reply = client.SubmitSpec(spec);
+    ASSERT_TRUE(reply.transport_ok);
+    ASSERT_TRUE(reply.ok) << reply.error;
+    jobs.push_back(reply.body.IntOr("job", -1));
+  }
+  std::unique_ptr<MemoryJournalStorage> crashed = storage.CrashCopy();
+  harness.Stop();
+
+  DaemonOptions restart = FastOptions();
+  restart.storage = crashed.get();
+  DaemonHarness restarted(restart);
+  ASSERT_TRUE(restarted.Start());
+  EXPECT_EQ(restarted.daemon().recovered_pending() +
+                restarted.daemon().recovered_running(),
+            5);
+  ServiceClient after = restarted.Connect("after-crash");
+  for (int64_t job : jobs) {
+    ServiceReply status = after.StatusOf(job);
+    ASSERT_TRUE(status.ok) << "job " << job << ": " << status.error;
+    EXPECT_EQ(status.body.StringOr("slo_class", ""), "slo-accepted");
+  }
+}
+
+// Submits `spec`, waits until the daemon reports it in `state`, and returns
+// the job's status reply.
+ServiceReply SubmitAndAwait(DaemonHarness& harness, ServiceClient& client,
+                            const JsonObj& spec, const std::string& state,
+                            int64_t* job) {
+  ServiceReply reply = client.SubmitSpec(spec);
+  EXPECT_TRUE(reply.ok) << reply.error;
+  *job = reply.body.IntOr("job", -1);
+  ServiceReply status;
+  EXPECT_TRUE(harness.WaitFor([&](const DaemonStatus&) {
+    status = client.StatusOf(*job);
+    return status.ok && status.body.StringOr("state", "") == state;
+  })) << "job " << *job << " never reached " << state;
+  return status;
+}
+
+// Restarts a daemon on `storage` and returns `job`'s status reply.
+ServiceReply StatusAfterRestart(JournalStorage* storage, int64_t job) {
+  DaemonOptions options = FastOptions();
+  options.storage = storage;
+  DaemonHarness harness(options);
+  EXPECT_TRUE(harness.Start());
+  ServiceClient client = harness.Connect("after-crash");
+  return client.StatusOf(job);
+}
+
+// A deadline job without a reservation is slo-unreserved, and journal
+// recovery (no final checkpoint) derives the same class.
+TEST(ServiceCrashTest, DeadlineJobKeepsSloClassThroughCrash) {
+  CrashableStorage storage;
+  DaemonOptions options = FastOptions();
+  options.storage = &storage;
+  DaemonHarness harness(options);
+  ASSERT_TRUE(harness.Start());
+  ServiceClient client = harness.Connect("crash-slo");
+  JsonObj spec = SmallJob(/*runtime=*/2000);
+  spec.Field("deadline_in", static_cast<int64_t>(100000));
+  int64_t job = -1;
+  ServiceReply before = SubmitAndAwait(harness, client, spec, "running", &job);
+  EXPECT_EQ(before.body.StringOr("slo_class", ""), "slo-unreserved");
+  std::unique_ptr<MemoryJournalStorage> crashed = storage.CrashCopy();
+  harness.Stop();
+
+  ServiceReply after = StatusAfterRestart(crashed.get(), job);
+  ASSERT_TRUE(after.ok) << after.error;
+  EXPECT_EQ(after.body.StringOr("slo_class", ""), "slo-unreserved");
+}
+
+// Rayon capacity is the cluster's: a daemon started on an empty journal
+// grants the same reservation an ephemeral daemon grants.
+TEST(ServiceCrashTest, JournaledDaemonGrantsReservations) {
+  for (bool journaled : {false, true}) {
+    MemoryJournalStorage storage;
+    DaemonOptions options = FastOptions();
+    options.storage = journaled ? &storage : nullptr;
+    DaemonHarness harness(options);
+    ASSERT_TRUE(harness.Start());
+    ServiceClient client = harness.Connect("reserve");
+    JsonObj spec = SmallJob(/*runtime=*/400);
+    spec.Field("deadline_in", static_cast<int64_t>(4000));
+    spec.Field("reservation", true);
+    int64_t job = -1;
+    ServiceReply status =
+        SubmitAndAwait(harness, client, spec, "running", &job);
+    EXPECT_EQ(status.body.StringOr("slo_class", ""), "slo-accepted")
+        << (journaled ? "journaled" : "ephemeral");
+    harness.Stop();
+  }
+}
+
+// A running gang recovered from the journal ends when the job's actual
+// runtime says, not when the scheduler's estimate said.
+TEST(ServiceCrashTest, RunningGangRecoversTrueEnd) {
+  CrashableStorage storage;
+  DaemonOptions options = FastOptions();
+  options.storage = &storage;
+  DaemonHarness harness(options);
+  ASSERT_TRUE(harness.Start());
+  ServiceClient client = harness.Connect("crash-end");
+  JsonObj spec = SmallJob(/*runtime=*/4000);
+  spec.Field("estimate_error", 0.5);
+  int64_t job = -1;
+  ServiceReply before = SubmitAndAwait(harness, client, spec, "running", &job);
+  EXPECT_EQ(before.body.IntOr("expected_end", -1), 4004);
+  std::unique_ptr<MemoryJournalStorage> crashed = storage.CrashCopy();
+  harness.Stop();
+
+  ServiceReply after = StatusAfterRestart(crashed.get(), job);
+  ASSERT_TRUE(after.ok) << after.error;
+  EXPECT_EQ(after.body.StringOr("state", ""), "running");
+  EXPECT_EQ(after.body.IntOr("expected_end", -1), 4004);
 }
 
 // STRL text submissions round-trip through the parser and schedule.
