@@ -35,6 +35,8 @@ struct SolverInstruments {
   Histogram* branch_and_bound_ms;   // worker-section wall-clock per solve
   Histogram* queue_wait_ms;         // per queue_cv wait episode (enabled only)
   Histogram* decompose_ms;          // detection (+ extraction) per solve
+  Histogram* root_lp_ms;            // root relaxation per monolithic solve
+  Histogram* root_dive_ms;          // root diving heuristic per solve
   Histogram* components;            // components per decomposition-checked solve
   Histogram* largest_component_vars;
   Counter* solves;
@@ -62,6 +64,8 @@ SolverInstruments& Instruments() {
       registry.GetHistogram("tetrisched_phase_branch_and_bound_ms"),
       registry.GetHistogram("tetrisched_solver_queue_wait_ms"),
       registry.GetHistogram("tetrisched_phase_decompose_ms"),
+      registry.GetHistogram("tetrisched_phase_root_lp_ms"),
+      registry.GetHistogram("tetrisched_phase_root_dive_ms"),
       registry.GetHistogram("tetrisched_solver_components", CountBuckets()),
       registry.GetHistogram("tetrisched_solver_largest_component_vars",
                             CountBuckets()),
@@ -342,6 +346,9 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
   bool stall_hit = false;  // limits_hit specifically via stall_node_limit
   bool found_unbounded = false;
   double final_bound = 0.0;  // last global bound observed at a pop
+  // Highest bound among nodes dropped unexplored because their LP hit the
+  // iteration limit; the reported bound can never fall below it.
+  double dropped_bound = -kInfinity;
 
   std::mutex incumbent_mu;
   bool have_incumbent = false;
@@ -486,7 +493,10 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
   // Root relaxation (always on the calling thread).
   LpResult root = [&] {
     TETRI_SPAN("solver.root_lp");
-    return timed_lp(root_lp, root_lower, root_upper, nullptr);
+    const auto root_lp_start = Clock::now();
+    LpResult relax = timed_lp(root_lp, root_lower, root_upper, nullptr);
+    ins.root_lp_ms->Observe(millis_since(root_lp_start));
+    return relax;
   }();
   lp_iterations.fetch_add(root.iterations, std::memory_order_relaxed);
   nodes.store(1, std::memory_order_relaxed);
@@ -529,16 +539,24 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
     finalize_counts();
     return result;
   }
-  if (root.status == LpStatus::kIterationLimit) {
-    TETRI_LOG(kWarning) << "LP iteration limit at root; bound may be loose";
+  // An unfinished relaxation's objective bounds nothing: the root then
+  // enters the search with an infinite bound and can never prove optimality
+  // on its own.
+  const bool root_finished = root.status != LpStatus::kIterationLimit;
+  if (!root_finished) {
+    TETRI_LOG(kWarning) << "LP iteration limit at root; no bound from it";
   }
+  const double root_bound = root_finished ? root.objective : kInfinity;
 
-  final_bound = root.objective;
+  final_bound = root_bound;
   LpBasis root_basis = root_lp.BasisSnapshot();
 
+  // A root cut off in phase 1 has no values at all.
   int root_branch_var =
-      MostFractionalVar(model_, root.values, options_.int_tol);
-  if (root_branch_var < 0) {
+      root.values.empty()
+          ? -1
+          : MostFractionalVar(model_, root.values, options_.int_tol);
+  if (root_branch_var < 0 && root_finished) {
     offer_incumbent(root.values);
     result.status = MilpStatus::kOptimal;
     result.solve_status = SolveStatus::kOptimal;
@@ -548,14 +566,20 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
     finalize_counts();
     return result;
   }
-  if (options_.enable_diving) {
+  if (root_branch_var < 0) {
+    if (!root.values.empty()) {
+      offer_incumbent(root.values);  // integral, but not proven optimal
+    }
+  } else if (options_.enable_diving) {
     TETRI_SPAN("solver.root_dive");
+    const auto dive_start = Clock::now();
     dive(root_lp, root_lower, root_upper, root, &root_basis);
+    ins.root_dive_ms->Observe(millis_since(dive_start));
   }
 
   {
     auto node = std::make_shared<Node>();
-    node->bound = root.objective;
+    node->bound = root_bound;
     node->seq = next_seq++;
     open.push(std::move(node));
   }
@@ -652,6 +676,7 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
       bool make_children = false;
       bool hit_unbounded = false;
       bool hit_cancel = false;
+      bool hit_iteration_limit = false;
       double node_bound = node->bound;
       int branch_var = -1;
       double branch_x = 0.0;
@@ -664,7 +689,8 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
         // stays whatever was proven before the cut.
         hit_cancel = true;
       } else if (relax.status == LpStatus::kIterationLimit) {
-        TETRI_LOG(kWarning) << "LP iteration limit inside B&B node; pruning";
+        TETRI_LOG(kWarning) << "LP iteration limit inside B&B node; dropping";
+        hit_iteration_limit = true;
       } else if (relax.status == LpStatus::kUnbounded) {
         hit_unbounded = true;
       } else {
@@ -699,6 +725,12 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
       if (hit_unbounded) {
         found_unbounded = true;
         done = true;
+      }
+      if (hit_iteration_limit) {
+        // The subtree goes unexplored, not proven empty: its bound stays in
+        // the final bound and the search counts as limited.
+        dropped_bound = std::max(dropped_bound, node->bound);
+        limits_hit = true;
       }
       // Children are pushed even if another worker just signalled done: they
       // keep the final best-bound honest and simply go unprocessed.
@@ -758,6 +790,12 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
   } else if (have_incumbent) {
     global_bound = incumbent_obj;  // search exhausted: incumbent is optimal
   }
+  global_bound = std::max(global_bound, dropped_bound);
+  if (have_incumbent) {
+    // Pruning is lazy: every node left open may already sit below the
+    // incumbent, which is then itself the best bound.
+    global_bound = std::max(global_bound, incumbent_obj);
+  }
 
   result.best_bound = global_bound;
   finalize_counts();
@@ -768,7 +806,7 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
   }
   result.objective = incumbent_obj;
   result.values = incumbent;
-  if (open.empty() || global_bound <= incumbent_obj + options_.abs_gap) {
+  if (global_bound <= incumbent_obj + options_.abs_gap) {
     result.status = MilpStatus::kOptimal;
     result.solve_status = SolveStatus::kOptimal;
   } else if (gap_satisfied(global_bound)) {

@@ -12,13 +12,32 @@ namespace {
 
 // Pivot iterations between cooperative deadline polls (power of two; each
 // poll is one atomic load plus one clock read, so this just keeps the clock
-// off the per-pivot path).
+// off the per-pivot path). Factorization polls every this many nucleus
+// columns.
 constexpr int kCancelPollMask = 15;
 
-Counter* BlandActivations() {
-  static Counter* counter =
-      GlobalMetrics().GetCounter("tetrisched_solver_bland_activations_total");
-  return counter;
+// Smallest pivot magnitude the factorization accepts; a basis that needs a
+// smaller one is treated as singular.
+constexpr double kSingularTol = 1e-11;
+
+struct LpCounters {
+  Counter* bland_activations;
+  Counter* primal_pivots;
+  Counter* dual_pivots;
+  Counter* refactorizations;
+  Counter* dual_fallbacks;
+};
+
+LpCounters& Counters() {
+  MetricsRegistry& registry = GlobalMetrics();
+  static LpCounters counters{
+      registry.GetCounter("tetrisched_solver_bland_activations_total"),
+      registry.GetCounter("tetrisched_solver_primal_pivots_total"),
+      registry.GetCounter("tetrisched_solver_dual_pivots_total"),
+      registry.GetCounter("tetrisched_solver_refactorizations_total"),
+      registry.GetCounter("tetrisched_solver_dual_fallbacks_total"),
+  };
+  return counters;
 }
 
 // Partial pricing: variables are scanned one rotating section at a time, and
@@ -47,7 +66,8 @@ LpSolver::LpSolver(const MilpModel& model, LpOptions options)
     // Slack column: unit vector on this row.
     cols_[n_ + c].push_back({c, 1.0});
   }
-  // Merge duplicate variable mentions within a row.
+  // Merge duplicate variable mentions within a row; drop entries that cancel
+  // (the factorization treats every stored entry as a structural nonzero).
   for (int v = 0; v < n_; ++v) {
     auto& col = cols_[v];
     std::sort(col.begin(), col.end(),
@@ -61,6 +81,26 @@ LpSolver::LpSolver(const MilpModel& model, LpOptions options)
       }
     }
     col.resize(out);
+    std::erase_if(col, [](const ColEntry& e) { return e.coeff == 0.0; });
+  }
+
+  row_start_.assign(m_ + 1, 0);
+  for (int v = 0; v < n_; ++v) {
+    for (const ColEntry& e : cols_[v]) {
+      ++row_start_[e.row + 1];
+    }
+  }
+  for (int c = 0; c < m_; ++c) {
+    row_start_[c + 1] += row_start_[c];
+  }
+  row_var_.resize(row_start_[m_]);
+  row_coeff_.resize(row_start_[m_]);
+  std::vector<int32_t> fill(row_start_.begin(), row_start_.end() - 1);
+  for (int v = 0; v < n_; ++v) {
+    for (const ColEntry& e : cols_[v]) {
+      row_var_[fill[e.row]] = v;
+      row_coeff_[fill[e.row]++] = e.coeff;
+    }
   }
 
   obj_.assign(total_, 0.0);
@@ -115,11 +155,7 @@ void LpSolver::InstallSlackBasis() {
     basic_[c] = n_ + c;
     status_[n_ + c] = Status::kBasic;
   }
-  binv_.assign(static_cast<size_t>(m_) * m_, 0.0);
-  for (int i = 0; i < m_; ++i) {
-    Binv(i, i) = 1.0;
-  }
-  pivots_since_refactor_ = 0;
+  Factorize();  // B = I: all column singletons, cannot fail
 }
 
 bool LpSolver::InstallWarmBasis(const LpBasis& warm) {
@@ -127,18 +163,24 @@ bool LpSolver::InstallWarmBasis(const LpBasis& warm) {
       static_cast<int>(warm.status.size()) != total_) {
     return false;
   }
+  // Dive steps and a worker's next node usually hand back this solver's own
+  // final basis: the current factorization then still describes it.
+  const bool same_basis =
+      factor_valid_ &&
+      std::equal(warm.basic.begin(), warm.basic.end(), basic_.begin());
+  factor_valid_ = false;
   basic_.assign(warm.basic.begin(), warm.basic.end());
   status_.assign(total_, Status::kAtLower);
   x_.assign(total_, 0.0);
-  std::vector<bool> is_basic(total_, false);
+  is_basic_.assign(total_, 0);
   for (int i = 0; i < m_; ++i) {
-    if (basic_[i] < 0 || basic_[i] >= total_ || is_basic[basic_[i]]) {
+    if (basic_[i] < 0 || basic_[i] >= total_ || is_basic_[basic_[i]] != 0) {
       return false;
     }
-    is_basic[basic_[i]] = true;
+    is_basic_[basic_[i]] = 1;
   }
   for (int v = 0; v < total_; ++v) {
-    if (is_basic[v]) {
+    if (is_basic_[v] != 0) {
       status_[v] = Status::kBasic;
       continue;
     }
@@ -157,97 +199,336 @@ bool LpSolver::InstallWarmBasis(const LpBasis& warm) {
       x_[v] = 0.0;
     }
   }
-  // Build the inverse of the warm basis; a singular snapshot is rejected.
-  binv_.assign(static_cast<size_t>(m_) * m_, 0.0);
-  std::vector<double> bmat(static_cast<size_t>(m_) * m_, 0.0);
+  if (same_basis) {
+    factor_valid_ = true;
+    return true;
+  }
+  // A singular (or cancelled) factorization rejects the snapshot.
+  ++stats_.refactorizations;
+  return Factorize();
+}
+
+bool LpSolver::Factorize() {
+  factor_valid_ = false;
+  FactorWork& f = fw_;
+  piv_row_.clear();
+  piv_pos_.clear();
+  u_diag_.clear();
+  l_start_.assign(1, 0);
+  l_row_.clear();
+  l_val_.clear();
+  u_start_.assign(1, 0);
+  u_pos_.clear();
+  u_val_.clear();
+  eta_pos_.clear();
+  eta_pivot_.clear();
+  eta_start_.assign(1, 0);
+  eta_index_.clear();
+  eta_value_.clear();
+
+  // Row-wise copy of B and the active entry counts.
+  f.row_start.assign(m_ + 1, 0);
+  f.col_count.resize(m_);
+  for (int pos = 0; pos < m_; ++pos) {
+    const auto& col = cols_[basic_[pos]];
+    f.col_count[pos] = static_cast<int32_t>(col.size());
+    for (const ColEntry& e : col) {
+      ++f.row_start[e.row + 1];
+    }
+  }
+  f.row_count.resize(m_);
+  for (int r = 0; r < m_; ++r) {
+    f.row_count[r] = f.row_start[r + 1];
+    f.row_start[r + 1] += f.row_start[r];
+  }
+  f.row_pos.resize(f.row_start[m_]);
+  f.row_val.resize(f.row_start[m_]);
+  f.index.assign(f.row_start.begin(), f.row_start.end() - 1);
+  for (int pos = 0; pos < m_; ++pos) {
+    for (const ColEntry& e : cols_[basic_[pos]]) {
+      const int k = f.index[e.row]++;
+      f.row_pos[k] = pos;
+      f.row_val[k] = e.coeff;
+    }
+  }
+
+  // A pivot's L and U entries are appended right after it is added.
+  auto add_pivot = [&](int row, int pos, double value) {
+    piv_row_.push_back(row);
+    piv_pos_.push_back(pos);
+    u_diag_.push_back(value);
+    f.row_count[row] = -1;
+    f.col_count[pos] = -1;
+  };
+  auto end_pivot = [&] {
+    l_start_.push_back(static_cast<int32_t>(l_row_.size()));
+    u_start_.push_back(static_cast<int32_t>(u_pos_.size()));
+  };
+
+  // Column singletons (every slack among them): the pivot row's other
+  // entries go to U, and no later row is touched.
+  f.stack.clear();
+  for (int pos = 0; pos < m_; ++pos) {
+    if (f.col_count[pos] == 1) {
+      f.stack.push_back(pos);
+    }
+  }
+  while (!f.stack.empty()) {
+    const int pos = f.stack.back();
+    f.stack.pop_back();
+    if (f.col_count[pos] != 1) {
+      continue;
+    }
+    int row = -1;
+    double value = 0.0;
+    for (const ColEntry& e : cols_[basic_[pos]]) {
+      if (f.row_count[e.row] >= 0) {
+        row = e.row;
+        value = e.coeff;
+        break;
+      }
+    }
+    if (std::abs(value) < kSingularTol) {
+      return false;
+    }
+    add_pivot(row, pos, value);
+    for (int k = f.row_start[row]; k < f.row_start[row + 1]; ++k) {
+      const int other = f.row_pos[k];
+      if (f.col_count[other] < 0) {
+        continue;
+      }
+      u_pos_.push_back(other);
+      u_val_.push_back(f.row_val[k]);
+      if (--f.col_count[other] == 1) {
+        f.stack.push_back(other);
+      }
+    }
+    end_pivot();
+  }
+
+  // Row singletons: the pivot column's other entries go to L, and U gets
+  // nothing beyond the diagonal.
+  for (int r = 0; r < m_; ++r) {
+    if (f.row_count[r] == 1) {
+      f.stack.push_back(r);
+    }
+  }
+  while (!f.stack.empty()) {
+    const int row = f.stack.back();
+    f.stack.pop_back();
+    if (f.row_count[row] != 1) {
+      continue;
+    }
+    int pos = -1;
+    double value = 0.0;
+    for (int k = f.row_start[row]; k < f.row_start[row + 1]; ++k) {
+      if (f.col_count[f.row_pos[k]] >= 0) {
+        pos = f.row_pos[k];
+        value = f.row_val[k];
+        break;
+      }
+    }
+    if (std::abs(value) < kSingularTol) {
+      return false;
+    }
+    add_pivot(row, pos, value);
+    for (const ColEntry& e : cols_[basic_[pos]]) {
+      if (f.row_count[e.row] < 0) {
+        continue;
+      }
+      l_row_.push_back(e.row);
+      l_val_.push_back(e.coeff / value);
+      if (--f.row_count[e.row] == 1) {
+        f.stack.push_back(e.row);
+      }
+    }
+    end_pivot();
+  }
+
+  // The nucleus: what is left is untouched by the eliminations above, so it
+  // is a submatrix of B. Dense LU with partial pivoting, sparsest columns
+  // first.
+  f.nucleus_rows.clear();
+  f.nucleus_pos.clear();
   for (int i = 0; i < m_; ++i) {
-    for (const ColEntry& e : cols_[basic_[i]]) {
-      bmat[static_cast<size_t>(e.row) * m_ + i] = e.coeff;
+    if (f.row_count[i] >= 0) {
+      f.nucleus_rows.push_back(i);
     }
-    Binv(i, i) = 1.0;
-  }
-  // Gauss-Jordan with partial pivoting on the augmented [B | I]. O(m^3), so
-  // on large bases this is the one place a deadline could silently slip by a
-  // whole refactorization: poll the token per column and bail (the caller
-  // falls back to the slack basis, and Iterate notices the expiry on its
-  // first poll).
-  for (int col = 0; col < m_; ++col) {
-    if (options_.cancel != nullptr && (col & kCancelPollMask) == 0 &&
-        options_.cancel->Expired()) {
-      return false;
-    }
-    int pivot_row = col;
-    double best = std::abs(bmat[static_cast<size_t>(col) * m_ + col]);
-    for (int r = col + 1; r < m_; ++r) {
-      double mag = std::abs(bmat[static_cast<size_t>(r) * m_ + col]);
-      if (mag > best) {
-        best = mag;
-        pivot_row = r;
-      }
-    }
-    if (best < 1e-11) {
-      return false;
-    }
-    if (pivot_row != col) {
-      for (int j = 0; j < m_; ++j) {
-        std::swap(bmat[static_cast<size_t>(col) * m_ + j],
-                  bmat[static_cast<size_t>(pivot_row) * m_ + j]);
-        std::swap(Binv(col, j), Binv(pivot_row, j));
-      }
-    }
-    double inv_pivot = 1.0 / bmat[static_cast<size_t>(col) * m_ + col];
-    for (int j = 0; j < m_; ++j) {
-      bmat[static_cast<size_t>(col) * m_ + j] *= inv_pivot;
-      Binv(col, j) *= inv_pivot;
-    }
-    for (int r = 0; r < m_; ++r) {
-      if (r == col) {
-        continue;
-      }
-      double factor = bmat[static_cast<size_t>(r) * m_ + col];
-      if (factor == 0.0) {
-        continue;
-      }
-      for (int j = 0; j < m_; ++j) {
-        bmat[static_cast<size_t>(r) * m_ + j] -=
-            factor * bmat[static_cast<size_t>(col) * m_ + j];
-        Binv(r, j) -= factor * Binv(col, j);
-      }
+    if (f.col_count[i] >= 0) {
+      f.nucleus_pos.push_back(i);
     }
   }
-  pivots_since_refactor_ = 0;
+  const int k = static_cast<int>(f.nucleus_rows.size());
+  if (k > 0) {
+    std::sort(f.nucleus_pos.begin(), f.nucleus_pos.end(), [&](int a, int b) {
+      return f.col_count[a] != f.col_count[b] ? f.col_count[a] < f.col_count[b]
+                                              : a < b;
+    });
+    for (int t = 0; t < k; ++t) {
+      f.index[f.nucleus_rows[t]] = t;
+    }
+    f.dense.assign(static_cast<size_t>(k) * k, 0.0);
+    for (int j = 0; j < k; ++j) {
+      for (const ColEntry& e : cols_[basic_[f.nucleus_pos[j]]]) {
+        if (f.row_count[e.row] >= 0) {
+          f.dense[static_cast<size_t>(f.index[e.row]) * k + j] = e.coeff;
+        }
+      }
+    }
+    // f.stack holds the nucleus row order; rows [j, k) are not yet pivoted.
+    f.stack.resize(k);
+    for (int t = 0; t < k; ++t) {
+      f.stack[t] = t;
+    }
+    auto dense_row = [&](int t) {
+      return &f.dense[static_cast<size_t>(f.stack[t]) * k];
+    };
+    for (int j = 0; j < k; ++j) {
+      if (options_.cancel != nullptr && (j & kCancelPollMask) == 0 &&
+          options_.cancel->Expired()) {
+        return false;
+      }
+      int best = j;
+      for (int t = j + 1; t < k; ++t) {
+        if (std::abs(dense_row(t)[j]) > std::abs(dense_row(best)[j])) {
+          best = t;
+        }
+      }
+      std::swap(f.stack[j], f.stack[best]);
+      const double* prow = dense_row(j);
+      const double pivot = prow[j];
+      if (std::abs(pivot) < kSingularTol) {
+        return false;
+      }
+      const int row = f.nucleus_rows[f.stack[j]];
+      add_pivot(row, f.nucleus_pos[j], pivot);
+      for (int c = j + 1; c < k; ++c) {
+        if (prow[c] != 0.0) {
+          u_pos_.push_back(f.nucleus_pos[c]);
+          u_val_.push_back(prow[c]);
+        }
+      }
+      for (int t = j + 1; t < k; ++t) {
+        double* drow = dense_row(t);
+        if (drow[j] == 0.0) {
+          continue;
+        }
+        const double mult = drow[j] / pivot;
+        l_row_.push_back(f.nucleus_rows[f.stack[t]]);
+        l_val_.push_back(mult);
+        for (int c = j + 1; c < k; ++c) {
+          drow[c] -= mult * prow[c];
+        }
+      }
+      end_pivot();
+    }
+  }
+
+  factor_valid_ = true;
   return true;
 }
 
-void LpSolver::RefactorizeOrReset() {
-  LpBasis snapshot = BasisSnapshot();
-  if (!InstallWarmBasis(snapshot)) {
-    // A cancelled rebuild is expected (Iterate returns kCancelled right
-    // after); only a genuinely singular basis deserves the warning.
-    if (options_.cancel == nullptr || !options_.cancel->Expired()) {
-      TETRI_LOG(kWarning) << "singular basis during refactorization; resetting";
+bool LpSolver::RefactorizeOrReset() {
+  ++stats_.refactorizations;
+  if (Factorize()) {
+    return true;
+  }
+  // A cancelled rebuild is expected (the loop returns kCancelled right
+  // after); only a genuinely singular basis deserves the warning.
+  if (options_.cancel == nullptr || !options_.cancel->Expired()) {
+    TETRI_LOG(kWarning) << "singular basis during refactorization; resetting";
+  }
+  InstallSlackBasis();
+  return false;
+}
+
+void LpSolver::Ftran(std::vector<double>& v) {
+  for (int p = 0; p < m_; ++p) {
+    const double a = v[piv_row_[p]];
+    if (a == 0.0) {
+      continue;
     }
-    InstallSlackBasis();
+    for (int e = l_start_[p]; e < l_start_[p + 1]; ++e) {
+      v[l_row_[e]] -= l_val_[e] * a;
+    }
+  }
+  work_.resize(m_);
+  for (int p = m_ - 1; p >= 0; --p) {
+    double a = v[piv_row_[p]];
+    for (int e = u_start_[p]; e < u_start_[p + 1]; ++e) {
+      a -= u_val_[e] * work_[u_pos_[e]];
+    }
+    work_[piv_pos_[p]] = a / u_diag_[p];
+  }
+  v.swap(work_);
+  for (size_t e = 0; e < eta_pos_.size(); ++e) {
+    const int pos = eta_pos_[e];
+    const double a = v[pos] / eta_pivot_[e];
+    v[pos] = a;
+    if (a == 0.0) {
+      continue;
+    }
+    for (int k = eta_start_[e]; k < eta_start_[e + 1]; ++k) {
+      v[eta_index_[k]] -= eta_value_[k] * a;
+    }
   }
 }
 
+void LpSolver::Btran(std::vector<double>& v) {
+  for (int e = static_cast<int>(eta_pos_.size()) - 1; e >= 0; --e) {
+    const int pos = eta_pos_[e];
+    double a = v[pos];
+    for (int k = eta_start_[e]; k < eta_start_[e + 1]; ++k) {
+      a -= eta_value_[k] * v[eta_index_[k]];
+    }
+    v[pos] = a / eta_pivot_[e];
+  }
+  work_.resize(m_);
+  for (int p = 0; p < m_; ++p) {
+    const double a = v[piv_pos_[p]] / u_diag_[p];
+    work_[piv_row_[p]] = a;
+    if (a == 0.0) {
+      continue;
+    }
+    for (int e = u_start_[p]; e < u_start_[p + 1]; ++e) {
+      v[u_pos_[e]] -= u_val_[e] * a;
+    }
+  }
+  for (int p = m_ - 1; p >= 0; --p) {
+    double a = work_[piv_row_[p]];
+    for (int e = l_start_[p]; e < l_start_[p + 1]; ++e) {
+      a -= l_val_[e] * work_[l_row_[e]];
+    }
+    work_[piv_row_[p]] = a;
+  }
+  v.swap(work_);
+}
+
+void LpSolver::PushEta(int pos, std::span<const double> column) {
+  eta_pos_.push_back(pos);
+  eta_pivot_.push_back(column[pos]);
+  for (int i = 0; i < m_; ++i) {
+    if (i != pos && column[i] != 0.0) {
+      eta_index_.push_back(i);
+      eta_value_.push_back(column[i]);
+    }
+  }
+  eta_start_.push_back(static_cast<int32_t>(eta_index_.size()));
+}
+
 void LpSolver::RecomputeBasicValues() {
-  std::vector<double> residual = rhs_b_;
+  col_.assign(rhs_b_.begin(), rhs_b_.end());
   for (int v = 0; v < total_; ++v) {
     if (status_[v] == Status::kBasic || x_[v] == 0.0) {
       continue;
     }
     for (const ColEntry& e : cols_[v]) {
-      residual[e.row] -= e.coeff * x_[v];
+      col_[e.row] -= e.coeff * x_[v];
     }
   }
+  Ftran(col_);
   for (int i = 0; i < m_; ++i) {
-    double sum = 0.0;
-    const double* row = &binv_[static_cast<size_t>(i) * m_];
-    for (int k = 0; k < m_; ++k) {
-      sum += row[k] * residual[k];
-    }
-    x_[basic_[i]] = sum;
+    x_[basic_[i]] = col_[i];
   }
 }
 
@@ -259,15 +540,20 @@ double LpSolver::ColumnDot(int var, std::span<const double> row_vec) const {
   return sum;
 }
 
-void LpSolver::ComputeTableauColumn(int var, std::vector<double>& out) const {
+void LpSolver::ComputeTableauColumn(int var, std::vector<double>& out) {
   out.assign(m_, 0.0);
   for (const ColEntry& e : cols_[var]) {
-    const double coeff = e.coeff;
-    const size_t col = static_cast<size_t>(e.row);
-    for (int i = 0; i < m_; ++i) {
-      out[i] += binv_[static_cast<size_t>(i) * m_ + col] * coeff;
-    }
+    out[e.row] = e.coeff;
   }
+  Ftran(out);
+}
+
+void LpSolver::ComputeDuals(std::span<const double> costs) {
+  y_.resize(m_);
+  for (int i = 0; i < m_; ++i) {
+    y_[i] = costs[basic_[i]];
+  }
+  Btran(y_);
 }
 
 double LpSolver::TotalInfeasibility() const {
@@ -297,9 +583,6 @@ void LpSolver::BuildPhase1Costs(std::vector<double>& costs) const {
 
 LpStatus LpSolver::Iterate(std::span<const double> costs_in, bool phase1,
                            int* iterations_left) {
-  std::vector<double> phase1_costs;
-  std::vector<double> y(m_);
-  std::vector<double> w;
   int degenerate_streak = 0;
   int cancel_poll = 0;
   bool was_bland = false;
@@ -319,22 +602,13 @@ LpStatus LpSolver::Iterate(std::span<const double> costs_in, bool phase1,
       if (TotalInfeasibility() <= options_.feas_tol * (m_ + 1)) {
         return LpStatus::kOptimal;
       }
-      BuildPhase1Costs(phase1_costs);
-      costs = phase1_costs;
+      BuildPhase1Costs(phase1_costs_);
+      costs = phase1_costs_;
     }
 
-    // y' = c_B' B^-1 ; skip zero-cost basic rows (most of them in phase 1).
-    std::fill(y.begin(), y.end(), 0.0);
-    for (int i = 0; i < m_; ++i) {
-      double cb = costs[basic_[i]];
-      if (cb == 0.0) {
-        continue;
-      }
-      const double* row = &binv_[static_cast<size_t>(i) * m_];
-      for (int k = 0; k < m_; ++k) {
-        y[k] += cb * row[k];
-      }
-    }
+    // y' = c_B' B^-1.
+    ComputeDuals(costs);
+    const std::span<const double> y = y_;
 
     // Pricing: partial (rotating-section) Dantzig by default, Bland when
     // stalling. Optimality is only ever declared after a scan that covered
@@ -343,7 +617,7 @@ LpStatus LpSolver::Iterate(std::span<const double> costs_in, bool phase1,
     // its anti-cycling argument requires.
     const bool bland = degenerate_streak >= options_.bland_pivot_limit;
     if (bland && !was_bland) {
-      BlandActivations()->Increment();
+      Counters().bland_activations->Increment();
     }
     was_bland = bland;
     int enter = -1;
@@ -426,7 +700,8 @@ LpStatus LpSolver::Iterate(std::span<const double> costs_in, bool phase1,
       return LpStatus::kOptimal;  // full scan found no improving direction
     }
 
-    ComputeTableauColumn(enter, w);
+    ComputeTableauColumn(enter, col_);
+    const std::vector<double>& w = col_;
 
     // Ratio test. Entering variable moves by t >= 0 in direction enter_dir;
     // basic i changes by -enter_dir * w[i] * t.
@@ -505,6 +780,7 @@ LpStatus LpSolver::Iterate(std::span<const double> costs_in, bool phase1,
         x_[enter] = lb_[enter];
         status_[enter] = Status::kAtLower;
       }
+      ++stats_.primal_pivots;
       degenerate_streak = t <= options_.feas_tol ? degenerate_streak + 1 : 0;
       continue;
     }
@@ -535,32 +811,206 @@ LpStatus LpSolver::Iterate(std::span<const double> costs_in, bool phase1,
     x_[leaving] = leave_to_upper ? ub_[leaving] : lb_[leaving];
     basic_[leave_row] = enter;
     status_[enter] = Status::kBasic;
-
-    // Update the explicit inverse: one Gauss step on the pivot row.
-    double pivot = w[leave_row];
-    double* prow = &binv_[static_cast<size_t>(leave_row) * m_];
-    double inv_pivot = 1.0 / pivot;
-    for (int k = 0; k < m_; ++k) {
-      prow[k] *= inv_pivot;
-    }
-    for (int i = 0; i < m_; ++i) {
-      if (i == leave_row) {
-        continue;
-      }
-      double factor = w[i];
-      if (factor == 0.0) {
-        continue;
-      }
-      double* row = &binv_[static_cast<size_t>(i) * m_];
-      for (int k = 0; k < m_; ++k) {
-        row[k] -= factor * prow[k];
-      }
-    }
+    PushEta(leave_row, w);
+    ++stats_.primal_pivots;
 
     degenerate_streak = t <= options_.feas_tol ? degenerate_streak + 1 : 0;
-    if (++pivots_since_refactor_ >= options_.refactor_every) {
-      RefactorizeOrReset();
+    if (static_cast<int>(eta_pos_.size()) >= options_.refactor_every) {
+      if (!RefactorizeOrReset() && options_.cancel != nullptr &&
+          options_.cancel->Expired()) {
+        return LpStatus::kCancelled;
+      }
       RecomputeBasicValues();
+    }
+  }
+}
+
+void LpSolver::ComputeReducedCosts() {
+  ComputeDuals(obj_);
+  d_.resize(total_);
+  for (int v = 0; v < total_; ++v) {
+    d_[v] = status_[v] == Status::kBasic ? 0.0 : obj_[v] - ColumnDot(v, y_);
+  }
+}
+
+bool LpSolver::PrepareDual() {
+  ComputeReducedCosts();
+  bool dual_feasible = true;
+  for (int v = 0; v < total_; ++v) {
+    const double d = d_[v];
+    if (status_[v] == Status::kBasic || ub_[v] - lb_[v] <= 0.0) {
+      continue;  // a fixed variable is optimal at any reduced cost
+    }
+    switch (status_[v]) {
+      case Status::kAtLower:
+        if (d > options_.cost_tol) {
+          if (std::isfinite(ub_[v])) {
+            status_[v] = Status::kAtUpper;
+            x_[v] = ub_[v];
+          } else {
+            dual_feasible = false;
+          }
+        }
+        break;
+      case Status::kAtUpper:
+        if (d < -options_.cost_tol) {
+          if (std::isfinite(lb_[v])) {
+            status_[v] = Status::kAtLower;
+            x_[v] = lb_[v];
+          } else {
+            dual_feasible = false;
+          }
+        }
+        break;
+      case Status::kFreeZero:
+        if (std::abs(d) > options_.cost_tol) {
+          dual_feasible = false;
+        }
+        break;
+      case Status::kBasic:
+        break;
+    }
+  }
+  return dual_feasible;
+}
+
+LpSolver::DualOutcome LpSolver::DualIterate(int* iterations_left) {
+  int cancel_poll = 0;
+  alpha_.assign(total_, 0.0);
+  while (true) {
+    if (options_.cancel != nullptr && (cancel_poll++ & kCancelPollMask) == 0 &&
+        options_.cancel->Expired()) {
+      return DualOutcome::kCancelled;
+    }
+    // Leaving row: the basic variable furthest outside its bounds.
+    int row = -1;
+    double worst = options_.feas_tol;
+    for (int i = 0; i < m_; ++i) {
+      const int v = basic_[i];
+      const double infeasibility = std::max(lb_[v] - x_[v], x_[v] - ub_[v]);
+      if (infeasibility > worst) {
+        worst = infeasibility;
+        row = i;
+      }
+    }
+    if (row < 0) {
+      return DualOutcome::kOptimal;
+    }
+    if (*iterations_left <= 0) {
+      return DualOutcome::kIterationLimit;
+    }
+    --*iterations_left;
+    const int leaving = basic_[row];
+    const bool to_upper = x_[leaving] > ub_[leaving];
+    // +1 when the leaving variable must rise to its lower bound, -1 when it
+    // must fall to its upper bound.
+    const double sigma = to_upper ? -1.0 : 1.0;
+
+    // Pivot row alpha = (e_row' B^-1) [A | I], accumulated over the rows of
+    // A where e_row' B^-1 is nonzero; only movable nonbasics are kept.
+    y_.assign(m_, 0.0);
+    y_[row] = 1.0;
+    Btran(y_);
+    std::fill(alpha_.begin(), alpha_.end(), 0.0);
+    for (int i = 0; i < m_; ++i) {
+      const double rho = y_[i];
+      if (rho == 0.0) {
+        continue;
+      }
+      for (int k = row_start_[i]; k < row_start_[i + 1]; ++k) {
+        alpha_[row_var_[k]] += rho * row_coeff_[k];
+      }
+      alpha_[n_ + i] = rho;
+    }
+    // Harris ratio test. An entering candidate moves in direction dir (+1 up
+    // from its lower bound, -1 down from its upper) and must push the leaving
+    // variable towards its bound, i.e. alpha * dir * sigma < 0; its ratio is
+    // how far its reduced cost may move before changing sign, per unit of
+    // dual step. Pass 1 collects the candidates and the largest dual step
+    // allowed with every reduced cost relaxed by cost_tol.
+    candidates_.clear();
+    double theta_max = kInfinity;
+    for (int v = 0; v < total_; ++v) {
+      if (status_[v] == Status::kBasic || ub_[v] - lb_[v] <= 0.0) {
+        alpha_[v] = 0.0;
+        continue;
+      }
+      const double a = alpha_[v];
+      if (std::abs(a) <= options_.pivot_tol) {
+        continue;
+      }
+      double dir = a * sigma < 0.0 ? 1.0 : -1.0;  // free variables
+      if (status_[v] == Status::kAtLower) {
+        dir = 1.0;
+      } else if (status_[v] == Status::kAtUpper) {
+        dir = -1.0;
+      }
+      if (a * dir * sigma >= 0.0) {
+        continue;
+      }
+      const double ratio = std::max(0.0, -dir * d_[v]) / std::abs(a);
+      theta_max = std::min(theta_max, ratio + options_.cost_tol / std::abs(a));
+      candidates_.push_back({v, ratio});
+    }
+    if (candidates_.empty()) {
+      // No nonbasic can move the leaving variable towards its bound: the row
+      // proves the bounds infeasible.
+      return DualOutcome::kInfeasible;
+    }
+    // Pass 2: among the candidates within that step, the largest pivot.
+    int enter = -1;
+    double best_mag = 0.0;
+    for (const Candidate& c : candidates_) {
+      if (c.ratio <= theta_max && std::abs(alpha_[c.var]) > best_mag) {
+        best_mag = std::abs(alpha_[c.var]);
+        enter = c.var;
+      }
+    }
+    const double a_enter = alpha_[enter];
+
+    // The FTRAN'd entering column must agree with the pivot row.
+    ComputeTableauColumn(enter, col_);
+    const double pivot = col_[row];
+    if (std::abs(pivot) <= options_.pivot_tol ||
+        std::abs(pivot - a_enter) > 1e-7 * (1.0 + std::abs(pivot))) {
+      return DualOutcome::kTrouble;
+    }
+
+    // Dual step. A step of the wrong sign (possible only within the Harris
+    // tolerance) is taken as zero.
+    double theta = d_[enter] / a_enter;
+    if (theta * sigma < 0.0) {
+      theta = 0.0;
+    }
+    for (int v = 0; v < total_; ++v) {
+      d_[v] -= theta * alpha_[v];
+    }
+    d_[enter] = 0.0;
+    d_[leaving] = -theta;
+
+    // Primal step: the entering variable moves until the leaving one sits on
+    // its violated bound.
+    const double target = to_upper ? ub_[leaving] : lb_[leaving];
+    const double step = (x_[leaving] - target) / pivot;
+    for (int i = 0; i < m_; ++i) {
+      x_[basic_[i]] -= col_[i] * step;
+    }
+    x_[enter] += step;
+    x_[leaving] = target;
+    status_[leaving] = to_upper ? Status::kAtUpper : Status::kAtLower;
+    basic_[row] = enter;
+    status_[enter] = Status::kBasic;
+    PushEta(row, col_);
+    ++stats_.dual_pivots;
+
+    if (static_cast<int>(eta_pos_.size()) >= options_.refactor_every) {
+      if (!RefactorizeOrReset()) {
+        return options_.cancel != nullptr && options_.cancel->Expired()
+                   ? DualOutcome::kCancelled
+                   : DualOutcome::kTrouble;
+      }
+      RecomputeBasicValues();
+      ComputeReducedCosts();
     }
   }
 }
@@ -581,6 +1031,19 @@ LpResult LpSolver::Solve(std::span<const double> lower,
 
 LpResult LpSolver::Solve(std::span<const double> lower,
                          std::span<const double> upper, const LpBasis* warm) {
+  stats_ = SolveStats{};
+  LpResult result = SolveImpl(lower, upper, warm);
+  LpCounters& counters = Counters();
+  counters.primal_pivots->Increment(stats_.primal_pivots);
+  counters.dual_pivots->Increment(stats_.dual_pivots);
+  counters.refactorizations->Increment(stats_.refactorizations);
+  counters.dual_fallbacks->Increment(stats_.dual_fallbacks);
+  return result;
+}
+
+LpResult LpSolver::SolveImpl(std::span<const double> lower,
+                             std::span<const double> upper,
+                             const LpBasis* warm) {
   assert(static_cast<int>(lower.size()) == n_ &&
          static_cast<int>(upper.size()) == n_);
   InstallBounds(lower, upper);
@@ -589,39 +1052,59 @@ LpResult LpSolver::Solve(std::span<const double> lower,
   // single-threaded branch-and-bound runs reproducible).
   pricing_cursor_ = 0;
 
-  bool warm_ok = warm != nullptr && InstallWarmBasis(*warm);
+  const bool warm_ok = warm != nullptr && InstallWarmBasis(*warm);
   if (!warm_ok) {
     InstallSlackBasis();
+  }
+  // Only bounds differ from the solve that produced a warm basis, so it is
+  // normally still dual feasible: re-solve with the dual simplex.
+  const bool dual = warm_ok && PrepareDual();
+  if (warm_ok && !dual) {
+    ++stats_.dual_fallbacks;
   }
   RecomputeBasicValues();
 
   LpResult result;
   int iterations_left = options_.max_iterations;
+  auto finish = [&](LpStatus status) {
+    result.status = status;
+    result.iterations = options_.max_iterations - iterations_left;
+    return result;
+  };
+
+  if (dual) {
+    switch (DualIterate(&iterations_left)) {
+      case DualOutcome::kOptimal:
+        break;  // phase 2 below confirms optimality with one pricing pass
+      case DualOutcome::kInfeasible:
+        return finish(LpStatus::kInfeasible);
+      case DualOutcome::kIterationLimit:
+        return finish(LpStatus::kIterationLimit);
+      case DualOutcome::kCancelled:
+        return finish(LpStatus::kCancelled);
+      case DualOutcome::kTrouble:
+        ++stats_.dual_fallbacks;
+        break;
+    }
+  }
 
   if (TotalInfeasibility() > options_.feas_tol * (m_ + 1)) {
     LpStatus phase1 = Iterate({}, /*phase1=*/true, &iterations_left);
     if (phase1 == LpStatus::kIterationLimit) {
-      result.status = LpStatus::kIterationLimit;
-      result.iterations = options_.max_iterations;
-      return result;
+      return finish(LpStatus::kIterationLimit);
     }
     if (phase1 == LpStatus::kCancelled) {
       // Cancelled while still (possibly) infeasible: report the cancellation
       // rather than misclassifying the interrupted state as infeasible.
-      result.status = LpStatus::kCancelled;
-      result.iterations = options_.max_iterations - iterations_left;
-      return result;
+      return finish(LpStatus::kCancelled);
     }
     if (TotalInfeasibility() > options_.feas_tol * (m_ + 1)) {
-      result.status = LpStatus::kInfeasible;
-      result.iterations = options_.max_iterations - iterations_left;
-      return result;
+      return finish(LpStatus::kInfeasible);
     }
   }
 
   LpStatus phase2 = Iterate(obj_, /*phase1=*/false, &iterations_left);
-  result.status = phase2;
-  result.iterations = options_.max_iterations - iterations_left;
+  finish(phase2);
   if (phase2 != LpStatus::kOptimal && phase2 != LpStatus::kIterationLimit) {
     return result;
   }

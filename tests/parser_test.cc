@@ -103,6 +103,13 @@ struct BadInput {
   const char* expected_error_fragment;
 };
 
+// Names each case by its expected error. Without this gtest prints the two
+// raw pointers, and ctest's discovered test names then change with every
+// build and every address-space layout.
+void PrintTo(const BadInput& input, std::ostream* os) {
+  *os << "expects " << input.expected_error_fragment;
+}
+
 class ParserErrorTest : public ::testing::TestWithParam<BadInput> {};
 
 TEST_P(ParserErrorTest, ReportsError) {

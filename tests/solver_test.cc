@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/solver/certify.h"
 #include "src/solver/milp.h"
 #include "src/solver/model.h"
 #include "src/solver/simplex.h"
@@ -384,6 +385,65 @@ TEST(MilpModelTest, DebugStringMentionsPieces) {
   EXPECT_NE(dump.find("maximize"), std::string::npos);
   EXPECT_NE(dump.find("cap"), std::string::npos);
   EXPECT_NE(dump.find("choose"), std::string::npos);
+}
+
+// max 10a + b + 8c + 19d + 10e  s.t.  a + 7b + 8c + 2d + 7e <= 12, binary.
+MilpModel SmallKnapsack() {
+  MilpModel model;
+  const double value[] = {10, 1, 8, 19, 10};
+  const double weight[] = {1, 7, 8, 2, 7};
+  std::vector<LinTerm> row;
+  for (int v = 0; v < 5; ++v) {
+    model.AddBinaryVar();
+    model.AddObjectiveTerm(v, value[v]);
+    row.push_back({v, weight[v]});
+  }
+  model.AddConstraint(row, ConstraintSense::kLessEqual, 12);
+  return model;
+}
+
+TEST(MilpBoundTest, LeftoverNodesBelowIncumbentDoNotLowerTheBound) {
+  // Six nodes into this search the incumbent (39) already beats the bound of
+  // every node still queued (38.43): pruning is lazy, so they are still
+  // open when the search stops. The reported bound must not drop below the
+  // incumbent, or the certifier rejects an honest plan.
+  MilpModel model = SmallKnapsack();
+  MilpOptions options;
+  options.num_threads = 1;
+  options.rel_gap = 0.0;
+  options.max_nodes = 6;
+  options.enable_presolve = false;
+  options.enable_decomposition = false;
+  options.enable_diving = false;
+  MilpResult result = MilpSolver(model, options).Solve();
+  ASSERT_TRUE(result.HasSolution());
+  EXPECT_NEAR(result.objective, 39.0, 1e-9);
+  EXPECT_GE(result.best_bound, result.objective);
+  CertifyReport report = CertifyPlan(model, result, options);
+  EXPECT_TRUE(report.ok) << report.failure;
+}
+
+TEST(MilpBoundTest, RootIterationLimitClaimsNoBound) {
+  // Every LP stops after one pivot, so no relaxation finishes: the root's
+  // objective bounds nothing, and nothing can be proven optimal.
+  MilpModel model = SmallKnapsack();
+  MilpOptions options;
+  options.num_threads = 1;
+  options.lp.max_iterations = 1;
+  MilpResult result = MilpSolver(model, options).Solve();
+  ASSERT_TRUE(result.HasSolution());
+  EXPECT_GE(result.best_bound, result.objective);
+  EXPECT_NE(result.status, MilpStatus::kOptimal);
+  EXPECT_NE(result.status, MilpStatus::kGapLimit);
+  CertifyReport report = CertifyPlan(model, result, options);
+  EXPECT_TRUE(report.ok) << report.failure;
+
+  // With a covering row the slack basis is infeasible, so the root is cut
+  // off in phase 1 with no values: infeasibility is not proven either.
+  model.AddConstraint({{0, 1}, {1, 1}, {2, 1}, {3, 1}, {4, 1}},
+                      ConstraintSense::kGreaterEqual, 1);
+  MilpResult cut = MilpSolver(model, options).Solve();
+  EXPECT_EQ(cut.status, MilpStatus::kNoSolution);
 }
 
 }  // namespace
