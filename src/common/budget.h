@@ -15,7 +15,7 @@
 //                      in the component decomposition).
 //   * AimdController — additive-increase / multiplicative-decrease control
 //                      of a scalar level in [min_level, 1], driven by a
-//                      per-cycle blown/healthy budget signal. Deterministic:
+//                      per-cycle overloaded/healthy signal. Deterministic:
 //                      the trajectory is a pure function of the observation
 //                      sequence.
 //   * CycleBudgetOptions — the scheduler-facing knobs
@@ -101,7 +101,7 @@ class DeadlinePool {
 };
 
 struct AimdOptions {
-  int shrink_after = 3;        // consecutive blown cycles before a shrink
+  int shrink_after = 3;        // consecutive overloaded cycles to a shrink
   double shrink_factor = 0.5;  // multiplicative decrease of the level
   int restore_after = 4;       // consecutive healthy cycles before a restore
   double restore_step = 0.125; // additive increase of the level
@@ -116,7 +116,8 @@ class AimdController {
   AimdController() = default;
   explicit AimdController(AimdOptions options) : options_(options) {}
 
-  // Feeds one cycle's outcome. Returns -1 when the level shrank this
+  // Feeds one cycle's outcome: `blown` = overloaded (the scheduler passes
+  // budget_blown || solver_cutoff). Returns -1 when the level shrank this
   // observation, +1 when it restored, 0 when unchanged. Each adaptation
   // resets its streak, so K blown cycles cause one shrink, not K - shrink_after.
   int Observe(bool blown);
@@ -137,10 +138,12 @@ class AimdController {
 
 // Scheduler-facing budget knobs (TetriSchedConfig::budget, DESIGN.md §13).
 struct CycleBudgetOptions {
-  // Wall-clock budget for one whole scheduling cycle, in seconds. 0 (the
-  // default) disables deadline enforcement and adaptation entirely: no
-  // deadline is armed and scheduling is bit-identical to pre-budget
-  // behavior. Operationally this is the cycle period (paper: 4 s).
+  // Wall-clock budget for one whole scheduling cycle, in seconds, counted
+  // from the cycle's start (OnCycle entry, or the start a serving loop
+  // passes in). 0 (the default) disables deadline enforcement and
+  // adaptation entirely: no deadline is armed and scheduling is
+  // bit-identical to pre-budget behavior. Operationally this is the cycle
+  // period (paper: 4 s).
   double budget_seconds = 0.0;
   // Phase apportionment, as fractions of budget_seconds. The solve phase
   // gets whatever generation and compile left over, minus the commit
@@ -149,8 +152,9 @@ struct CycleBudgetOptions {
   double strl_gen_share = 0.10;
   double compile_share = 0.10;
   double commit_share = 0.10;
-  // Overload adaptation. After aimd.shrink_after consecutive blown cycles
-  // the effective plan-ahead shrinks multiplicatively toward the NP
+  // Overload adaptation. After aimd.shrink_after consecutive overloaded
+  // cycles (budget blown, or the MILP cut off with no incumbent) the
+  // effective plan-ahead shrinks multiplicatively toward the NP
   // configuration (one quantum) and rel_gap relaxes to relaxed_rel_gap;
   // after aimd.restore_after healthy cycles it restores additively.
   bool adapt_plan_ahead = true;

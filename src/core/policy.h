@@ -91,7 +91,12 @@ struct CycleStats {
   // Cycle budget / adaptive plan-ahead (DESIGN.md §13). budget_seconds == 0
   // means the budget subsystem was off this cycle and the rest are inert.
   double budget_seconds = 0.0;     // configured cycle budget
-  bool budget_blown = false;       // cycle_seconds exceeded the budget
+  // Wall-clock from the cycle's start (OnCycle entry, or the serving
+  // cycle's start in tetrischedd) exceeded the budget.
+  bool budget_blown = false;
+  // The MILP ended with no incumbent and no certifier reject: the budget
+  // cut it off. Counts as overloaded for the AIMD even when !budget_blown.
+  bool solver_cutoff = false;
   int phase_overruns = 0;          // phases that exceeded their share
   SimDuration effective_plan_ahead = 0;  // window actually used this cycle
   double effective_rel_gap = 0.0;        // rel_gap actually used this cycle

@@ -41,6 +41,7 @@ struct CycleInstruments {
   Counter* dropped_jobs;
   // Cycle budget / adaptive plan-ahead instruments (DESIGN.md §13).
   Counter* budget_blown_cycles;
+  Counter* solver_cutoffs;
   Counter* overrun_strl_gen;
   Counter* overrun_compile;
   Counter* overrun_solve;
@@ -71,6 +72,7 @@ CycleInstruments& Instruments() {
       registry.GetCounter("tetrisched_validator_rejects_total"),
       registry.GetCounter("tetrisched_dropped_jobs_total"),
       registry.GetCounter("tetrisched_budget_blown_cycles_total"),
+      registry.GetCounter("tetrisched_budget_solver_cutoffs_total"),
       registry.GetCounter("tetrisched_budget_overrun_strl_gen_total"),
       registry.GetCounter("tetrisched_budget_overrun_compile_total"),
       registry.GetCounter("tetrisched_budget_overrun_solve_total"),
@@ -308,8 +310,14 @@ AvailabilityGrid TetriScheduler::BuildAvailability(
 TetriScheduler::Decision TetriScheduler::OnCycle(
     SimTime now, const std::vector<const Job*>& pending,
     const std::vector<RunningHold>& running) {
+  return OnCycle(now, pending, running, Clock::now());
+}
+
+TetriScheduler::Decision TetriScheduler::OnCycle(
+    SimTime now, const std::vector<const Job*>& pending,
+    const std::vector<RunningHold>& running, Clock::time_point cycle_start) {
   TETRI_SPAN("scheduler.cycle");
-  auto cycle_start = Clock::now();
+  const Clock::time_point entry = Clock::now();
   cycle_start_ = cycle_start;  // anchors CycleMilpOptions' remaining-budget
   Decision decision;
   decision.stats.pending_count = static_cast<int>(pending.size());
@@ -317,6 +325,7 @@ TetriScheduler::Decision TetriScheduler::OnCycle(
     previous_plan_.clear();
     return decision;
   }
+  ++cycles_;
   Instruments().cycles->Increment();
   ProvenanceRecorder& recorder = ProvenanceRecorder::Global();
   if (recorder.enabled()) {
@@ -505,7 +514,8 @@ TetriScheduler::Decision TetriScheduler::OnCycle(
   decision.stats.pending_count = static_cast<int>(pending.size());
   decision.stats.scheduled_count = static_cast<int>(decision.start_now.size());
   decision.stats.dropped_count = static_cast<int>(decision.drop.size());
-  decision.stats.cycle_seconds = Seconds(cycle_start, Clock::now());
+  const Clock::time_point cycle_end = Clock::now();
+  decision.stats.cycle_seconds = Seconds(entry, cycle_end);
 
   CycleInstruments& instruments = Instruments();
   const CycleBudgetOptions& budget = config_.budget;
@@ -515,7 +525,13 @@ TetriScheduler::Decision TetriScheduler::OnCycle(
     // hard-limited, via the deadline in CycleMilpOptions().
     decision.stats.budget_seconds = budget.budget_seconds;
     decision.stats.budget_blown =
-        decision.stats.cycle_seconds > budget.budget_seconds;
+        Seconds(cycle_start_, cycle_end) > budget.budget_seconds;
+    // A deadline that stopped the MILP before it found an incumbent hides
+    // overload from the wall clock (the cycle ends on time, on the greedy
+    // rung), so it counts toward the shrink streak too.
+    decision.stats.solver_cutoff =
+        decision.stats.solve_status == SolveStatus::kNoIncumbent &&
+        decision.stats.certifier_rejects == 0;
     const double solve_share =
         std::max(0.0, 1.0 - budget.strl_gen_share - budget.compile_share -
                           budget.commit_share);
@@ -542,8 +558,11 @@ TetriScheduler::Decision TetriScheduler::OnCycle(
     if (decision.stats.budget_blown) {
       instruments.budget_blown_cycles->Increment();
     }
-    decision.stats.plan_ahead_adapted =
-        aimd_.Observe(decision.stats.budget_blown);
+    if (decision.stats.solver_cutoff) {
+      instruments.solver_cutoffs->Increment();
+    }
+    decision.stats.plan_ahead_adapted = aimd_.Observe(
+        decision.stats.budget_blown || decision.stats.solver_cutoff);
     if (decision.stats.plan_ahead_adapted != 0) {
       ApplyAimdLevel();
       instruments.plan_ahead_adaptations->Increment();
@@ -686,8 +705,12 @@ TetriScheduler::Decision TetriScheduler::GlobalCycle(
   previous_plan_.clear();
   if (!result.HasSolution()) {
     // OnCycle reads stats.solve_status and replans the cycle greedily.
-    TETRI_LOG(kWarning) << "MILP produced no schedule ("
-                        << ToString(result.solve_status) << ")";
+    int64_t suppressed = 0;
+    if (no_schedule_warn_.ShouldLog(0, cycles_, &suppressed)) {
+      TETRI_LOG(kWarning) << "MILP produced no schedule ("
+                          << ToString(result.solve_status) << ")"
+                          << LogRateLimiter::SuppressedSuffix(suppressed);
+    }
     return decision;
   }
 

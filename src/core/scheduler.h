@@ -33,6 +33,7 @@
 #include "src/cluster/availability.h"
 #include "src/cluster/cluster.h"
 #include "src/common/budget.h"
+#include "src/common/logging.h"
 #include "src/core/policy.h"
 #include "src/core/strl_gen.h"
 #include "src/solver/milp.h"
@@ -85,8 +86,15 @@ class TetriScheduler : public SchedulerPolicy {
  public:
   TetriScheduler(const Cluster& cluster, TetriSchedConfig config);
 
+  // The §13 cycle budget runs from entry.
   Decision OnCycle(SimTime now, const std::vector<const Job*>& pending,
                    const std::vector<RunningHold>& running) override;
+  // Serving-loop entry point (DESIGN.md §16): the budget runs from
+  // `cycle_start`, when the caller's cycle began, so one deadline covers the
+  // caller's own work (completions, intake, commit) as well as this call.
+  Decision OnCycle(SimTime now, const std::vector<const Job*>& pending,
+                   const std::vector<RunningHold>& running,
+                   std::chrono::steady_clock::time_point cycle_start);
 
   const char* name() const override;
 
@@ -146,6 +154,10 @@ class TetriScheduler : public SchedulerPolicy {
   SimDuration effective_plan_ahead_ = 0;
   double effective_rel_gap_ = 0.0;
   std::chrono::steady_clock::time_point cycle_start_{};
+
+  // Non-empty cycles so far: the tick axis of the rate-limited WARNs.
+  int64_t cycles_ = 0;
+  LogRateLimiter no_schedule_warn_{16};
 };
 
 }  // namespace tetrisched

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
@@ -37,6 +38,8 @@ struct ServiceInstruments {
   Gauge* inflight;
   Gauge* connections;
   Histogram* request_ms;
+  Histogram* cycle_ms;
+  Counter* cycle_overruns;
 };
 
 ServiceInstruments& Instruments() {
@@ -55,12 +58,32 @@ ServiceInstruments& Instruments() {
     i.inflight = registry.GetGauge("tetrisched_service_inflight_total");
     i.connections = registry.GetGauge("tetrisched_service_connections");
     i.request_ms = registry.GetHistogram("tetrisched_service_request_ms");
+    i.cycle_ms = registry.GetHistogram("tetrisched_service_cycle_ms");
+    i.cycle_overruns =
+        registry.GetCounter("tetrisched_service_cycle_overruns_total");
     return i;
   }();
   return instruments;
 }
 
 }  // namespace
+
+SteadyClock::time_point NextCycleDue(SteadyClock::time_point due,
+                                     SteadyClock::time_point ended,
+                                     SteadyClock::duration period) {
+  return std::max(due + period, ended);
+}
+
+int CyclePollTimeoutMs(SteadyClock::time_point now,
+                       SteadyClock::time_point due) {
+  if (now >= due) {
+    return 0;
+  }
+  const auto ms =
+      std::chrono::ceil<std::chrono::milliseconds>(due - now).count();
+  return static_cast<int>(
+      std::min<int64_t>(ms, std::numeric_limits<int>::max()));
+}
 
 const char* SchedulerDaemon::ToString(JobState state) {
   switch (state) {
@@ -196,7 +219,7 @@ void SchedulerDaemon::RecoverFromJournal() {
       entry.preferred = gang->second.est_duration <=
                         entry.job.EstimatedRuntime(/*preferred=*/true);
       entry.end = entry.start + entry.job.ActualRuntime(entry.preferred);
-      ++running_count_;
+      running_.emplace(entry.end, job_id);
       ++recovered_running_;
     } else {
       if (entry.job.wants_reservation && slo == state.slo.end()) {
@@ -343,18 +366,10 @@ void SchedulerDaemon::EvictIdleConnections() {
 }
 
 void SchedulerDaemon::Run() {
+  const auto period = std::chrono::milliseconds(options_.cycle_period_ms);
   auto next_cycle = SteadyClock::now();
   while (!stopped_) {
-    auto now = SteadyClock::now();
-    int timeout_ms = 0;
-    if (now < next_cycle) {
-      timeout_ms = static_cast<int>(
-          std::chrono::duration_cast<std::chrono::milliseconds>(next_cycle -
-                                                                now)
-              .count()) +
-          1;
-    }
-    loop_.PollOnce(timeout_ms);
+    loop_.PollOnce(CyclePollTimeoutMs(SteadyClock::now(), next_cycle));
     AdoptPendingFds();
     if (int signo = ConsumeTerminationSignal(); signo != 0) {
       TETRI_LOG(kInfo) << "tetrischedd caught signal " << signo
@@ -364,16 +379,15 @@ void SchedulerDaemon::Run() {
     if (drain_requested_.exchange(false)) {
       draining_ = true;
     }
-    if (SteadyClock::now() >= next_cycle) {
-      RunCycle();
-      next_cycle += std::chrono::milliseconds(options_.cycle_period_ms);
-      // Never schedule into the past (a slow cycle should not trigger a
-      // burst of catch-up cycles: the virtual clock advances per cycle run,
-      // not per wall period).
-      if (next_cycle < SteadyClock::now()) {
-        next_cycle = SteadyClock::now() +
-                     std::chrono::milliseconds(options_.cycle_period_ms);
+    if (const auto started = SteadyClock::now(); started >= next_cycle) {
+      RunCycle(started);
+      const auto ended = SteadyClock::now();
+      if (ended > next_cycle + period) {
+        // The next cycle runs on the next loop turn; the virtual clock still
+        // advances once per cycle run, not per wall period.
+        Instruments().cycle_overruns->Increment();
       }
+      next_cycle = NextCycleDue(next_cycle, ended, period);
       EvictIdleConnections();
     }
     if (stop_requested_.load(std::memory_order_relaxed)) {
@@ -407,12 +421,11 @@ void SchedulerDaemon::RequestDrain() {
 // --- cycle driver ----------------------------------------------------------
 
 void SchedulerDaemon::CompleteFinishedGangs() {
-  for (auto& [job_id, entry] : jobs_) {
-    if (entry.state != JobState::kRunning || entry.end > now_) {
-      continue;
-    }
+  while (!running_.empty() && running_.begin()->first <= now_) {
+    const JobId job_id = running_.begin()->second;
+    running_.erase(running_.begin());
+    JobEntry& entry = jobs_.at(job_id);
     entry.state = JobState::kCompleted;
-    --running_count_;
     ++completed_;
     Instruments().completed->Increment();
     if (persist_ != nullptr) {
@@ -501,7 +514,7 @@ void SchedulerDaemon::DropJob(JobId job, JobState reason, const char* why) {
   }
   JobEntry& entry = it->second;
   if (entry.state == JobState::kRunning) {
-    --running_count_;
+    running_.erase({entry.end, job});
   }
   entry.state = reason;
   entry.end = now_;
@@ -550,7 +563,7 @@ void SchedulerDaemon::ApplyDecision(const SchedulerPolicy::Decision& decision) {
     // The scheduler planned with an estimate; the gang really ends after
     // the job's actual runtime on this placement quality.
     entry.end = now_ + entry.job.ActualRuntime(entry.preferred);
-    ++running_count_;
+    running_.emplace(entry.end, placement.job);
     pending_.erase(
         std::remove(pending_.begin(), pending_.end(), placement.job),
         pending_.end());
@@ -576,7 +589,7 @@ void SchedulerDaemon::ApplyDecision(const SchedulerPolicy::Decision& decision) {
   }
 }
 
-void SchedulerDaemon::RunCycle() {
+void SchedulerDaemon::RunCycle(SteadyClock::time_point started) {
   if (cycles_ > 0) {
     now_ += options_.sim_seconds_per_cycle;
   }
@@ -595,10 +608,9 @@ void SchedulerDaemon::RunCycle() {
     }
   }
   std::vector<RunningHold> running;
-  for (const auto& [job_id, entry] : jobs_) {
-    if (entry.state != JobState::kRunning) {
-      continue;
-    }
+  running.reserve(running_.size());
+  for (const auto& [end, job_id] : running_) {
+    const JobEntry& entry = jobs_.at(job_id);
     RunningHold hold;
     hold.job = job_id;
     hold.slo_class = entry.job.slo_class;
@@ -613,7 +625,7 @@ void SchedulerDaemon::RunCycle() {
 
   if (!pending_jobs.empty() || !running.empty()) {
     SchedulerPolicy::Decision decision =
-        scheduler_.OnCycle(now_, pending_jobs, running);
+        scheduler_.OnCycle(now_, pending_jobs, running, started);
     // Defense in depth: the scheduler validates internally, but the
     // service revalidates before committing anything to its ledger (the
     // acceptance bar: zero violations across restarts).
@@ -632,8 +644,19 @@ void SchedulerDaemon::RunCycle() {
 
   Instruments().inflight->Set(static_cast<double>(
       intake_.size() + static_cast<int64_t>(pending_.size()) +
-      running_count_));
+      static_cast<int64_t>(running_.size())));
   PublishStatus();
+  Instruments().cycle_ms->Observe(MsSince(started));
+}
+
+bool SchedulerDaemon::RunningIndexConsistent() const {
+  std::set<std::pair<SimTime, JobId>> expected;
+  for (const auto& [job_id, entry] : jobs_) {
+    if (entry.state == JobState::kRunning) {
+      expected.emplace(entry.end, job_id);
+    }
+  }
+  return expected == running_;
 }
 
 // --- protocol --------------------------------------------------------------
@@ -644,7 +667,7 @@ DaemonStatus SchedulerDaemon::UnlockedStatus() const {
   status.cycles = cycles_;
   status.queued = intake_.size();
   status.pending = static_cast<int64_t>(pending_.size());
-  status.running = running_count_;
+  status.running = static_cast<int64_t>(running_.size());
   status.completed = completed_;
   status.dropped = dropped_;
   status.cancelled = cancelled_;
@@ -766,7 +789,7 @@ std::string SchedulerDaemon::HandleSubmit(const ServiceRequest& request,
   Instruments().admitted->Increment();
   Instruments().inflight->Set(static_cast<double>(
       intake_.size() + static_cast<int64_t>(pending_.size()) +
-      running_count_));
+      static_cast<int64_t>(running_.size())));
 
   JsonObj extra;
   extra.Field("job", job.id);

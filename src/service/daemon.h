@@ -7,9 +7,9 @@
 //     pre-connected fds (socketpairs) for deterministic in-process tests,
 //   * a real-clock cycle driver: every cycle_period_ms of wall time the
 //     virtual clock advances by sim_seconds_per_cycle and one scheduling
-//     cycle runs — intake drain (admission control + Rayon), completions,
-//     TetriScheduler::OnCycle under the §13 cycle budget, ValidatePlan,
-//     and a two-phase journaled commit,
+//     cycle runs — completions, intake drain (admission control + Rayon),
+//     TetriScheduler::OnCycle, ValidatePlan, and a two-phase journaled
+//     commit, all under one §13 deadline that starts with the cycle,
 //   * admission control with backpressure (admission.h): bounded intake
 //     queue, per-client fairness, explicit `overloaded` rejections with
 //     retry-after hints,
@@ -28,10 +28,13 @@
 #define TETRISCHED_SERVICE_DAEMON_H_
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -57,9 +60,10 @@ struct DaemonOptions {
   TetriSchedConfig scheduler;
 
   // --- cycle driver ------------------------------------------------------
-  // Wall-clock between scheduling cycles. The §13 budget defaults to this
-  // (solver wall-clock is clamped inside the cycle) unless the caller set
-  // scheduler.budget explicitly.
+  // Wall-clock period of the cycle grid (see NextCycleDue). The §13
+  // budget defaults to this unless the caller set scheduler.budget
+  // explicitly; it runs from the cycle's start, so it bounds the whole
+  // cycle, not just the solve.
   int64_t cycle_period_ms = 100;
   // Virtual seconds the service clock advances per cycle. The scheduler's
   // plan-ahead/quantum arithmetic runs in virtual seconds, so this is the
@@ -106,6 +110,22 @@ struct DaemonStatus {
   bool drained = false;  // draining and no queued/pending/running work left
 };
 
+// The serving loop's cadence rule (DESIGN.md §16): when the cycle that was
+// due at `due` and ended at `ended` wants its successor. Cycles that end in
+// time keep the period grid, whatever jitter their starts had. A cycle that
+// ends past its successor's due time makes that successor due at once, and
+// the grid re-anchors on it: one overrun, however long, makes exactly one
+// immediate cycle, never a burst of catch-up cycles.
+std::chrono::steady_clock::time_point NextCycleDue(
+    std::chrono::steady_clock::time_point due,
+    std::chrono::steady_clock::time_point ended,
+    std::chrono::steady_clock::duration period);
+
+// poll(2) timeout until `due`: 0 once it has passed (one non-blocking poll
+// still serves ready I/O before the cycle runs), else whole ms rounded up.
+int CyclePollTimeoutMs(std::chrono::steady_clock::time_point now,
+                       std::chrono::steady_clock::time_point due);
+
 class SchedulerDaemon {
  public:
   explicit SchedulerDaemon(DaemonOptions options);
@@ -145,6 +165,10 @@ class SchedulerDaemon {
   // Start() (tests assert restart resume).
   int recovered_pending() const { return recovered_pending_; }
   int recovered_running() const { return recovered_running_; }
+
+  // True when the running-gang index holds exactly the kRunning jobs, each
+  // under its current end time. Loop thread only, or after Run() returned.
+  bool RunningIndexConsistent() const;
 
  private:
   enum class JobState {
@@ -190,7 +214,8 @@ class SchedulerDaemon {
   std::string HandleMetrics(const ServiceRequest& request);
 
   // --- cycle driver ------------------------------------------------------
-  void RunCycle();
+  // One scheduling cycle; its §13 deadline runs from `started`.
+  void RunCycle(std::chrono::steady_clock::time_point started);
   void CompleteFinishedGangs();
   void DrainIntakeIntoPending();
   // Rayon admission for a reservation seeker (journaled): accepted jobs
@@ -216,8 +241,12 @@ class SchedulerDaemon {
   std::map<int64_t, std::unique_ptr<FramedConnection>> connections_;
   int64_t next_connection_id_ = 1;
 
+  // Every job ever admitted. Cycles never walk it: they look jobs up from
+  // the two indexes below.
   std::map<JobId, JobEntry> jobs_;
   std::vector<JobId> pending_;  // admission order
+  // The kRunning jobs as (end, id): completion pops from the front.
+  std::set<std::pair<SimTime, JobId>> running_;
   JobId next_job_id_ = 1;
   SimTime now_ = 0;
   int64_t cycles_ = 0;
@@ -225,7 +254,6 @@ class SchedulerDaemon {
   int64_t completed_ = 0;
   int64_t dropped_ = 0;
   int64_t cancelled_ = 0;
-  int64_t running_count_ = 0;
   int64_t admitted_total_ = 0;
   int64_t rejected_total_ = 0;
   int recovered_pending_ = 0;

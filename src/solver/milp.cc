@@ -171,6 +171,26 @@ std::vector<double> RoundedCopy(const MilpModel& model,
   return rounded;
 }
 
+// Solve() calls so far: the tick axis of WarnNodeIterationLimit.
+std::atomic<int64_t> g_solves{0};
+
+// A model that trips the LP iteration limit tends to trip it in node after
+// node, so this WARN prints at most once per 16 solves process-wide and
+// carries the count it swallowed. Any B&B worker may call it.
+void WarnNodeIterationLimit(int64_t solve) {
+  static std::mutex mu;
+  static LogRateLimiter limit(/*every_n_ticks=*/16);
+  int64_t suppressed = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    if (!limit.ShouldLog(0, solve, &suppressed)) {
+      return;
+    }
+  }
+  TETRI_LOG(kWarning) << "LP iteration limit inside B&B node; dropping"
+                      << LogRateLimiter::SuppressedSuffix(suppressed);
+}
+
 }  // namespace
 
 MilpSolver::MilpSolver(const MilpModel& model, MilpOptions options)
@@ -178,6 +198,7 @@ MilpSolver::MilpSolver(const MilpModel& model, MilpOptions options)
 
 MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
   const auto start_time = Clock::now();
+  const int64_t solve_tick = g_solves.fetch_add(1, std::memory_order_relaxed);
   auto elapsed = [&]() {
     return std::chrono::duration<double>(Clock::now() - start_time).count();
   };
@@ -689,7 +710,7 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
         // stays whatever was proven before the cut.
         hit_cancel = true;
       } else if (relax.status == LpStatus::kIterationLimit) {
-        TETRI_LOG(kWarning) << "LP iteration limit inside B&B node; dropping";
+        WarnNodeIterationLimit(solve_tick);
         hit_iteration_limit = true;
       } else if (relax.status == LpStatus::kUnbounded) {
         hit_unbounded = true;

@@ -383,6 +383,46 @@ TEST(SchedulerBudgetTest, BlownBudgetShrinksPlanAheadAndRoundTrips) {
                    scheduler.effective_rel_gap());
 }
 
+// A serving cycle that spent its budget before the solve (the cycle start
+// is passed in from the caller) has its MILP cut off with no incumbent and
+// ends on the greedy rung inside the budget. That is overload all the same:
+// the cut-off counts toward the shrink streak, while budget_blown keeps
+// meaning "wall clock past the budget".
+TEST(SchedulerBudgetTest, SolverCutoffCountsTowardShrink) {
+  Cluster cluster = MakeUniformCluster(2, 4, 1);
+  TetriSchedConfig config;
+  config.plan_ahead = 96;
+  config.quantum = 8;
+  config.budget.budget_seconds = 10.0;
+  config.budget.aimd.shrink_after = 2;
+  TetriScheduler scheduler(cluster, config);
+
+  Job job = MakeJob(1, 3, 60, 100000);
+  std::vector<const Job*> pending{&job};
+  // 9.5 s of the 10 s budget already gone: past the 9 s solve reserve, so
+  // the solver gets a zero limit, yet the cycle ends well inside 10 s.
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    const auto cycle_start =
+        std::chrono::steady_clock::now() - std::chrono::milliseconds(9500);
+    auto decision = scheduler.OnCycle(cycle * 4, pending, {}, cycle_start);
+    EXPECT_EQ(decision.stats.solve_status, SolveStatus::kNoIncumbent);
+    EXPECT_TRUE(decision.stats.used_fallback);
+    EXPECT_EQ(decision.stats.certifier_rejects, 0);
+    EXPECT_FALSE(decision.stats.budget_blown);
+    EXPECT_TRUE(decision.stats.solver_cutoff);
+    EXPECT_EQ(decision.stats.plan_ahead_adapted, cycle == 0 ? 0 : -1);
+  }
+  EXPECT_LT(scheduler.effective_plan_ahead(), config.plan_ahead);
+
+  // The same cycle started on entry solves normally and is healthy.
+  TetriScheduler fresh(cluster, config);
+  auto decision = fresh.OnCycle(0, pending, {});
+  EXPECT_FALSE(decision.stats.solver_cutoff);
+  EXPECT_FALSE(decision.stats.budget_blown);
+  EXPECT_EQ(fresh.aimd().blown_streak(), 0);
+  EXPECT_EQ(fresh.aimd().healthy_streak(), 1);
+}
+
 TEST(SchedulerBudgetTest, PreBudgetBlobStillImports) {
   // Blobs written before the budget subsystem end at the warm-start map;
   // importing one must neither warn-discard nor perturb the AIMD state.

@@ -22,6 +22,7 @@
 namespace tetrisched {
 namespace {
 
+using std::chrono::microseconds;
 using std::chrono::milliseconds;
 using std::chrono::steady_clock;
 
@@ -562,6 +563,172 @@ TEST(ServiceEndToEndTest, StatusAndMetricsOverTheWire) {
   EXPECT_FALSE(explain.body.StringOr("report", "").empty());
 
   harness.Stop();
+}
+
+// Submits, completions, cancels and a restart from the journal all keep the
+// running-gang index equal to the kRunning subset of the job table.
+TEST(ServiceEndToEndTest, RunningIndexTracksRunningJobs) {
+  MemoryJournalStorage storage;
+  {
+    DaemonOptions options = FastOptions();
+    options.storage = &storage;
+    DaemonHarness harness(options);
+    ASSERT_TRUE(harness.Start());
+    EXPECT_TRUE(harness.daemon().RunningIndexConsistent());
+    ServiceClient client = harness.Connect("index");
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(client.SubmitSpec(SmallJob(/*runtime=*/4)).ok);
+    }
+    std::vector<int64_t> long_jobs;
+    for (int i = 0; i < 3; ++i) {
+      int64_t job = -1;
+      SubmitAndAwait(harness, client, SmallJob(/*runtime=*/4000), "running",
+                     &job);
+      long_jobs.push_back(job);
+    }
+    ASSERT_TRUE(harness.WaitFor(
+        [](const DaemonStatus& status) { return status.completed >= 3; }));
+    ServiceReply cancel = client.Cancel(long_jobs.front());
+    ASSERT_TRUE(cancel.ok) << cancel.error;
+    ASSERT_TRUE(harness.WaitFor(
+        [](const DaemonStatus& status) { return status.cancelled == 1; }));
+    harness.Stop();
+    EXPECT_TRUE(harness.daemon().RunningIndexConsistent());
+    EXPECT_EQ(harness.daemon().StatusSnapshot().running, 2);
+  }
+  DaemonOptions options = FastOptions();
+  options.storage = &storage;
+  DaemonHarness restarted(options);
+  ASSERT_TRUE(restarted.Start());
+  EXPECT_EQ(restarted.daemon().recovered_running(), 2);
+  EXPECT_TRUE(restarted.daemon().RunningIndexConsistent());
+  ServiceClient client = restarted.Connect("after-restart");
+  ASSERT_TRUE(client.SubmitSpec(SmallJob(/*runtime=*/4)).ok);
+  ASSERT_TRUE(restarted.WaitFor(
+      [](const DaemonStatus& status) { return status.completed >= 1; }));
+  restarted.Stop();
+  EXPECT_TRUE(restarted.daemon().RunningIndexConsistent());
+  EXPECT_EQ(restarted.daemon().StatusSnapshot().running, 2);
+}
+
+// The cycle driver's and the cycle budget's instruments reach both exports.
+TEST(ServiceEndToEndTest, CycleInstrumentsExported) {
+  DaemonHarness harness(FastOptions());
+  ASSERT_TRUE(harness.Start());
+  ServiceClient client = harness.Connect("cycle-obs");
+  ASSERT_TRUE(client.SubmitSpec(SmallJob()).ok);
+  ASSERT_TRUE(harness.WaitFor(
+      [](const DaemonStatus& status) { return status.completed >= 1; }));
+  const struct {
+    const char* section;
+    const char* name;
+  } instruments[] = {
+      {"histograms", "tetrisched_service_cycle_ms"},
+      {"counters", "tetrisched_service_cycle_overruns_total"},
+      {"counters", "tetrisched_budget_solver_cutoffs_total"},
+  };
+
+  ServiceReply prom = client.Metrics("prom");
+  ASSERT_TRUE(prom.ok);
+  const std::string text = prom.body.StringOr("metrics", "");
+  for (const auto& instrument : instruments) {
+    EXPECT_NE(text.find(std::string("# TYPE ") + instrument.name),
+              std::string::npos)
+        << instrument.name;
+  }
+
+  ServiceReply json = client.Metrics("json");
+  ASSERT_TRUE(json.ok);
+  const JsonValue* metrics = json.body.Find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  for (const auto& instrument : instruments) {
+    const JsonValue* section = metrics->Find(instrument.section);
+    ASSERT_NE(section, nullptr) << instrument.section;
+    EXPECT_NE(section->Find(instrument.name), nullptr) << instrument.name;
+  }
+  harness.Stop();
+}
+
+// Replays the serving loop over a list of (start lateness, duration) pairs:
+// a cycle starts `late` after the later of its due time and the previous
+// cycle's end. Returns the cycle start times.
+std::vector<steady_clock::time_point> CycleStarts(
+    const std::vector<std::pair<microseconds, milliseconds>>& cycles,
+    milliseconds period) {
+  std::vector<steady_clock::time_point> starts;
+  steady_clock::time_point now{};
+  steady_clock::time_point due = now;
+  for (const auto& [late, duration] : cycles) {
+    if (CyclePollTimeoutMs(now, due) > 0) {
+      now = due;  // poll blocks until the cycle is due
+    }
+    const steady_clock::time_point started = now + late;
+    starts.push_back(started);
+    now = started + duration;
+    due = NextCycleDue(due, now, period);
+  }
+  return starts;
+}
+
+// The cadence rule, on explicit instants: no clock, no daemon.
+TEST(CycleCadenceTest, OnTimeCyclesKeepThePeriodGrid) {
+  const milliseconds period(20);
+  // Start jitter (a late poll wake-up, a request being served) does not
+  // accumulate: every cycle that ends in time keeps the grid.
+  std::vector<steady_clock::time_point> starts = CycleStarts(
+      {{microseconds(0), milliseconds(5)},
+       {microseconds(1500), milliseconds(15)},
+       {microseconds(700), milliseconds(19)},
+       {microseconds(3000), milliseconds(2)},
+       {microseconds(0), milliseconds(5)}},
+      period);
+  const steady_clock::time_point t0{};
+  EXPECT_EQ(starts[1], t0 + period + microseconds(1500));
+  EXPECT_EQ(starts[2], t0 + 2 * period + microseconds(700));
+  EXPECT_EQ(starts[3], t0 + 3 * period + microseconds(3000));
+  EXPECT_EQ(starts[4], t0 + 4 * period);
+}
+
+TEST(CycleCadenceTest, OverrunMakesExactlyOneImmediateCycle) {
+  const milliseconds period(20);
+  for (milliseconds overrun : {milliseconds(23), milliseconds(39)}) {
+    std::vector<steady_clock::time_point> starts = CycleStarts(
+        {{microseconds(0), milliseconds(5)},
+         {microseconds(0), overrun},
+         {microseconds(0), milliseconds(5)},
+         {microseconds(0), milliseconds(5)},
+         {microseconds(0), milliseconds(5)}},
+        period);
+    // Cycle 2 starts the moment the overrunning cycle 1 ends ...
+    EXPECT_EQ(starts[2], starts[1] + overrun) << overrun.count();
+    // ... and re-anchors the grid: cycle 3 waits a full period for it.
+    EXPECT_EQ(starts[3], starts[2] + period) << overrun.count();
+    EXPECT_EQ(starts[4], starts[3] + period) << overrun.count();
+  }
+}
+
+TEST(CycleCadenceTest, LongStallNeverYieldsMoreThanOneCycle) {
+  const milliseconds period(20);
+  std::vector<steady_clock::time_point> starts = CycleStarts(
+      {{microseconds(0), milliseconds(1)},
+       {microseconds(0), milliseconds(1000)},
+       {microseconds(0), milliseconds(1)},
+       {microseconds(0), milliseconds(1)},
+       {microseconds(0), milliseconds(1)}},
+      period);
+  // 50 periods passed during the stall; one cycle runs for all of them.
+  EXPECT_EQ(starts[2], starts[1] + milliseconds(1000));
+  EXPECT_EQ(starts[3], starts[2] + period);
+  EXPECT_EQ(starts[4], starts[3] + period);
+}
+
+TEST(CycleCadenceTest, PollTimeoutRoundsUpToTheDueTime) {
+  const steady_clock::time_point t0{};
+  EXPECT_EQ(CyclePollTimeoutMs(t0, t0), 0);
+  EXPECT_EQ(CyclePollTimeoutMs(t0 + milliseconds(3), t0), 0);
+  EXPECT_EQ(CyclePollTimeoutMs(t0, t0 + milliseconds(20)), 20);
+  EXPECT_EQ(CyclePollTimeoutMs(t0, t0 + microseconds(19200)), 20);
+  EXPECT_EQ(CyclePollTimeoutMs(t0, t0 + microseconds(1)), 1);
 }
 
 }  // namespace
