@@ -36,6 +36,30 @@ struct RunningHold {
   SimTime expected_end = 0;
 };
 
+// The hold of a running job. An accepted-SLO job's reservation_end is the
+// end of its Rayon reservation; every other job's is kTimeNever.
+inline RunningHold RunningJobHold(const Job& job, SimTime start,
+                                  std::map<PartitionId, int> counts,
+                                  SimTime expected_end) {
+  SimTime reservation_end = job.slo_class == SloClass::kSloAccepted
+                                ? job.reservation.end
+                                : kTimeNever;
+  return {job.id,          job.slo_class,     start,
+          reservation_end, std::move(counts), expected_end};
+}
+
+// Synthetic hold for a failed (or believed-down) node: its one node,
+// unpreemptible until `until`. The id, -1000 - node, never matches a job.
+inline RunningHold FailedNodeHold(const Cluster& cluster, NodeId node,
+                                  SimTime until) {
+  RunningHold hold;
+  hold.job = -1000 - node;
+  hold.slo_class = SloClass::kSloAccepted;
+  hold.counts[cluster.partition_of(node)] = 1;
+  hold.expected_end = until;
+  return hold;
+}
+
 // A decision to start a job now on the given partition counts.
 struct Placement {
   JobId job = -1;

@@ -124,13 +124,9 @@ void RecordOffers(ProvenanceRecorder& recorder, SimTime now,
                                   .str());
   }
   for (auto& [job, alternatives] : offers) {
-    ProvenanceRecord record;
-    record.kind = ProvKind::kOffered;
-    record.time = now;
-    record.job = job;
-    record.value = static_cast<double>(alternatives.size());
-    record.detail = alternatives.str();
-    recorder.Record(std::move(record));
+    recorder.Record(ProvKind::kOffered, now, job, "",
+                    static_cast<double>(alternatives.size()),
+                    alternatives.str());
   }
 }
 
@@ -139,12 +135,7 @@ void RecordOffers(ProvenanceRecorder& recorder, SimTime now,
 void RecordCulls(ProvenanceRecorder& recorder, SimTime now,
                  const std::vector<JobId>& dropped) {
   for (JobId job : dropped) {
-    ProvenanceRecord record;
-    record.kind = ProvKind::kCulled;
-    record.time = now;
-    record.job = job;
-    record.label = "no-positive-value-option";
-    recorder.Record(std::move(record));
+    recorder.Record(ProvKind::kCulled, now, job, "no-positive-value-option");
   }
 }
 
@@ -441,14 +432,8 @@ TetriScheduler::Decision TetriScheduler::OnCycle(
     decision.stats.used_fallback = true;
     decision.stats.ladder_rung = 1;
     previous_plan_.clear();  // nothing from the failed solve is trustworthy
-    if (recorder.enabled()) {
-      ProvenanceRecord record;
-      record.kind = ProvKind::kFallback;
-      record.time = now;
-      record.label = "no-incumbent";
-      record.value = 1.0;  // ladder rung entered
-      recorder.Record(std::move(record));
-    }
+    // The value is the ladder rung entered.
+    recorder.Record(ProvKind::kFallback, now, -1, "no-incumbent", 1.0);
   }
 
   // Pre-commit plan validation (defense in depth): a plan violating ledger
@@ -484,14 +469,7 @@ TetriScheduler::Decision TetriScheduler::OnCycle(
       decision.start_now = first_fit();
       decision.stats.used_fallback = true;
       decision.stats.ladder_rung = 1;
-      if (recorder.enabled()) {
-        ProvenanceRecord record;
-        record.kind = ProvKind::kFallback;
-        record.time = now;
-        record.label = "validator-reject";
-        record.value = 1.0;
-        recorder.Record(std::move(record));
-      }
+      recorder.Record(ProvKind::kFallback, now, -1, "validator-reject", 1.0);
       violations = validate();
       decision.stats.validator_rejects += static_cast<int>(violations.size());
     }
@@ -500,14 +478,8 @@ TetriScheduler::Decision TetriScheduler::OnCycle(
       // replan next cycle.
       decision.start_now.clear();
       decision.stats.ladder_rung = 2;
-      if (recorder.enabled()) {
-        ProvenanceRecord record;
-        record.kind = ProvKind::kFallback;
-        record.time = now;
-        record.label = "validator-reject";
-        record.value = 2.0;  // cycle skipped entirely
-        recorder.Record(std::move(record));
-      }
+      // Rung 2: the cycle is skipped entirely.
+      recorder.Record(ProvKind::kFallback, now, -1, "validator-reject", 2.0);
     }
   }
 
@@ -728,14 +700,8 @@ TetriScheduler::Decision TetriScheduler::GlobalCycle(
                           << report.failure;
       decision.stats.certifier_rejects += 1;
       decision.stats.solve_status = SolveStatus::kNoIncumbent;
-      if (recorder.enabled()) {
-        ProvenanceRecord record;
-        record.kind = ProvKind::kCertifierReject;
-        record.time = now;
-        record.label = report.failure;
-        record.value = static_cast<double>(report.violated_rows);
-        recorder.Record(std::move(record));
-      }
+      recorder.Record(ProvKind::kCertifierReject, now, -1, report.failure,
+                      static_cast<double>(report.violated_rows));
       return decision;
     }
   }
@@ -959,14 +925,7 @@ TetriScheduler::Decision TetriScheduler::GreedyCycle(
     decision.stats.solve_status =
         WorstStatus(decision.stats.solve_status, result.solve_status);
     if (!result.HasSolution() || result.objective <= 0.0) {
-      if (recorder.enabled()) {
-        ProvenanceRecord record;
-        record.kind = ProvKind::kRejected;
-        record.time = now;
-        record.job = job->id;
-        record.label = "no-feasible-option";
-        recorder.Record(std::move(record));
-      }
+      recorder.Record(ProvKind::kRejected, now, job->id, "no-feasible-option");
       continue;  // nothing schedulable for this job within the window
     }
 

@@ -198,6 +198,22 @@ void ProvenanceRecorder::MarkCycleDegraded() {
   }
 }
 
+void ProvenanceRecorder::Record(ProvKind kind, SimTime time, int64_t job,
+                                std::string_view label, double value,
+                                std::string detail) {
+  if (!enabled()) {
+    return;
+  }
+  ProvenanceRecord record;
+  record.kind = kind;
+  record.time = time;
+  record.job = job;
+  record.value = value;
+  record.label = label;
+  record.detail = std::move(detail);
+  Record(std::move(record));
+}
+
 void ProvenanceRecorder::Record(ProvenanceRecord record) {
   if (!enabled()) {
     return;

@@ -149,6 +149,11 @@ class ProvenanceRecorder {
   // Appends one record (no-op unless enabled). Unset seq / ts_us / cycle
   // fields are stamped by the recorder.
   void Record(ProvenanceRecord record);
+  // The same, for a record built from its common fields (copied only when
+  // recording is on).
+  void Record(ProvKind kind, SimTime time, int64_t job,
+              std::string_view label, double value = 0.0,
+              std::string detail = {});
 
   size_t size() const;
   uint64_t dropped() const;  // records evicted from the ring

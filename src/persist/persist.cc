@@ -82,6 +82,14 @@ GangRecord GangOf(const Placement& placement, SimTime start) {
                     start + placement.est_duration, placement.est_duration};
 }
 
+DurableEvent Record(DurableEventKind kind, SimTime now, JobId job = -1) {
+  DurableEvent event;
+  event.kind = kind;
+  event.time = now;
+  event.job = job;
+  return event;
+}
+
 }  // namespace
 
 void PersistenceManager::JournalIntent(
@@ -90,16 +98,12 @@ void PersistenceManager::JournalIntent(
     // AIMD adaptation record (DESIGN.md §13): informational for journal
     // inspection; the authoritative adapted state rides the kCommitApplied
     // policy blob.
-    DurableEvent adapt;
-    adapt.kind = DurableEventKind::kPlanAheadAdapt;
-    adapt.time = now;
+    DurableEvent adapt = Record(DurableEventKind::kPlanAheadAdapt, now);
     adapt.k = decision.stats.plan_ahead_adapted;
     adapt.runtime = decision.stats.effective_plan_ahead;
     Append(adapt);
   }
-  DurableEvent intent;
-  intent.kind = DurableEventKind::kCommitIntent;
-  intent.time = now;
+  DurableEvent intent = Record(DurableEventKind::kCommitIntent, now);
   for (const Placement& placement : decision.start_now) {
     intent.gangs.push_back(GangOf(placement, now));
   }
@@ -110,10 +114,8 @@ void PersistenceManager::JournalIntent(
 
 void PersistenceManager::JournalLaunch(SimTime now, const Placement& placement,
                                        SimTime start) {
-  DurableEvent launch;
-  launch.kind = DurableEventKind::kGangLaunch;
-  launch.time = now;
-  launch.job = placement.job;
+  DurableEvent launch =
+      Record(DurableEventKind::kGangLaunch, now, placement.job);
   launch.gang = GangOf(placement, start);
   Append(launch);
 }
@@ -122,12 +124,71 @@ void PersistenceManager::JournalApplied(SimTime now,
                                         std::string policy_state) {
   // kCommitApplied closes the cycle even when nothing was placed, so a
   // stale warm-start blob never outlives the cycle that cleared it.
-  DurableEvent applied;
-  applied.kind = DurableEventKind::kCommitApplied;
-  applied.time = now;
+  DurableEvent applied = Record(DurableEventKind::kCommitApplied, now);
   applied.blob = std::move(policy_state);
   Append(applied);
   MaybeCheckpoint(now);
+}
+
+void PersistenceManager::JournalComplete(SimTime now, JobId job,
+                                         bool preferred, SimDuration runtime) {
+  DurableEvent complete = Record(DurableEventKind::kGangComplete, now, job);
+  complete.preferred = preferred;
+  complete.runtime = runtime;
+  Append(complete);
+}
+
+void PersistenceManager::JournalPreempt(SimTime now, JobId job) {
+  Append(Record(DurableEventKind::kGangPreempt, now, job));
+}
+
+void PersistenceManager::JournalDrop(SimTime now, JobId job) {
+  Append(Record(DurableEventKind::kJobDropped, now, job));
+}
+
+void PersistenceManager::JournalKill(SimTime now, JobId job, int retries,
+                                     SimTime eligible_at) {
+  DurableEvent kill = Record(DurableEventKind::kGangKill, now, job);
+  kill.retries = retries;
+  kill.eligible_at = eligible_at;
+  Append(kill);
+}
+
+void PersistenceManager::JournalRelease(SimTime now, const Job& job) {
+  DurableEvent release = Record(DurableEventKind::kRayonRelease, now, job.id);
+  release.k = job.k;
+  release.interval = job.reservation;
+  Append(release);
+}
+
+void PersistenceManager::JournalAdmission(
+    SimTime now, const Job& job, const ReservationDecision& decision) {
+  DurableEvent verdict =
+      Record(decision.accepted ? DurableEventKind::kRayonAdmit
+                               : DurableEventKind::kRayonReject,
+             now, job.id);
+  verdict.k = job.k;
+  verdict.interval = decision.interval;
+  Append(verdict);
+  DurableEvent slo = Record(DurableEventKind::kSloUpdate, now, job.id);
+  slo.slo_class = static_cast<uint8_t>(job.slo_class);
+  slo.interval = job.reservation;
+  Append(slo);
+}
+
+void PersistenceManager::JournalEpochBump(SimTime now, NodeId node,
+                                          uint64_t epoch) {
+  DurableEvent bump = Record(DurableEventKind::kEpochBump, now);
+  bump.node = node;
+  bump.epoch = epoch;
+  Append(bump);
+}
+
+void PersistenceManager::JournalSubmit(SimTime now, JobId job,
+                                       std::string spec) {
+  DurableEvent submit = Record(DurableEventKind::kServiceSubmit, now, job);
+  submit.blob = std::move(spec);
+  Append(submit);
 }
 
 RecoveryResult PersistenceManager::Recover() {
@@ -164,16 +225,10 @@ RecoveryResult PersistenceManager::Recover() {
     }
     ApplyEvent(result.state, event);
     ++result.replayed;
-    if (ProvenanceRecorder::Global().enabled()) {
-      // One provenance record per replayed journal record, so the flight
-      // recorder shows exactly which durable history rebuilt the RM view.
-      ProvenanceRecord record;
-      record.kind = ProvKind::kReplay;
-      record.time = event.time;
-      record.job = event.job;
-      record.label = ToString(event.kind);
-      ProvenanceRecorder::Global().Record(std::move(record));
-    }
+    // One provenance record per replayed journal record, so the flight
+    // recorder shows exactly which durable history rebuilt the RM view.
+    ProvenanceRecorder::Global().Record(ProvKind::kReplay, event.time,
+                                        event.job, ToString(event.kind));
   }
   result.dropped = decoded.dropped_records;
 

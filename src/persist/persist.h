@@ -17,7 +17,9 @@
 //     warning per dropped record) instead of aborting, and leaves the image
 //     equal to the recovered state,
 //   * JournalIntent/JournalLaunch/JournalApplied write the two-phase commit
-//     records (records.h) from the policy's Decision and Placements.
+//     records (records.h) from the policy's Decision and Placements, and
+//     the other Journal* helpers write every remaining record kind, so no
+//     front end knows the record field layout.
 //
 // Recovery counters and durations flow into the global metrics registry
 // (tetrisched_persist_* instruments, DESIGN.md §10).
@@ -82,6 +84,20 @@ class PersistenceManager {
   void JournalIntent(SimTime now, const SchedulerPolicy::Decision& decision);
   void JournalLaunch(SimTime now, const Placement& placement, SimTime start);
   void JournalApplied(SimTime now, std::string policy_state);
+
+  // One record per remaining mutation, appended after it landed (an epoch
+  // bump before: it is write-ahead). JournalAdmission writes the Rayon
+  // verdict, then the job's resulting class as kSloUpdate.
+  void JournalComplete(SimTime now, JobId job, bool preferred,
+                       SimDuration runtime);
+  void JournalPreempt(SimTime now, JobId job);
+  void JournalDrop(SimTime now, JobId job);
+  void JournalKill(SimTime now, JobId job, int retries, SimTime eligible_at);
+  void JournalRelease(SimTime now, const Job& job);
+  void JournalAdmission(SimTime now, const Job& job,
+                        const ReservationDecision& decision);
+  void JournalEpochBump(SimTime now, NodeId node, uint64_t epoch);
+  void JournalSubmit(SimTime now, JobId job, std::string spec);
 
   // What Recover() would rebuild from the storage right now.
   const RecoveredState& image() const { return image_; }

@@ -239,13 +239,8 @@ void SchedulerDaemon::RecoverFromJournal() {
                      << result.replayed << " records, dropped "
                      << result.dropped << ")";
   }
-  if (ProvenanceRecorder::Global().enabled()) {
-    ProvenanceRecord record;
-    record.kind = ProvKind::kRecovery;
-    record.time = now_;
-    record.value = static_cast<double>(result.replayed);
-    ProvenanceRecorder::Global().Record(std::move(record));
-  }
+  ProvenanceRecorder::Global().Record(ProvKind::kRecovery, now_, -1, "",
+                                      static_cast<double>(result.replayed));
 }
 
 void SchedulerDaemon::FinalCheckpoint() {
@@ -428,23 +423,15 @@ void SchedulerDaemon::CompleteFinishedGangs() {
     entry.state = JobState::kCompleted;
     ++completed_;
     Instruments().completed->Increment();
+    const SimDuration runtime = entry.end - entry.start;
     if (persist_ != nullptr) {
-      DurableEvent event;
-      event.kind = DurableEventKind::kGangComplete;
-      event.time = now_;
-      event.job = job_id;
-      event.preferred = entry.preferred;
-      event.runtime = entry.end - entry.start;
-      persist_->Append(event);
+      persist_->JournalComplete(now_, job_id, entry.preferred, runtime);
     }
-    if (ProvenanceRecorder::Global().enabled()) {
-      ProvenanceRecord record;
-      record.kind = ProvKind::kCompleted;
-      record.time = now_;
-      record.job = job_id;
-      record.label = entry.preferred ? "preferred" : "fallback";
-      ProvenanceRecorder::Global().Record(std::move(record));
-    }
+    // The simulator's vocabulary: met or late against the deadline.
+    ProvenanceRecorder::Global().Record(
+        ProvKind::kCompleted, now_, job_id,
+        now_ <= entry.job.deadline ? "met" : "late",
+        static_cast<double>(runtime));
   }
 }
 
@@ -466,19 +453,14 @@ void SchedulerDaemon::DrainIntakeIntoPending() {
     }
     entry.state = JobState::kPending;
     pending_.push_back(job_id);
-    if (ProvenanceRecorder::Global().enabled()) {
-      ProvenanceRecord record;
-      record.kind = ProvKind::kArrival;
-      record.time = now_;
-      record.job = job_id;
-      record.label = tetrisched::ToString(entry.job.type);
-      ProvenanceRecorder::Global().Record(std::move(record));
-    }
+    ProvenanceRecorder::Global().Record(ProvKind::kArrival, now_, job_id,
+                                        tetrisched::ToString(entry.job.type));
   }
 }
 
 void SchedulerDaemon::Reserve(Job& job) {
-  // The simulator's conservative fallback-runtime estimate sizes the block.
+  // The fallback-placement runtime estimate sizes the block, so it holds
+  // even on slow nodes (the simulator's ApplyAdmission uses the preferred).
   RdlRequest request;
   request.requester = job.id;
   request.k = job.k;
@@ -491,19 +473,7 @@ void SchedulerDaemon::Reserve(Job& job) {
     job.reservation = decision.interval;
   }
   if (persist_ != nullptr) {
-    DurableEvent event;
-    event.kind = decision.accepted ? DurableEventKind::kRayonAdmit
-                                   : DurableEventKind::kRayonReject;
-    event.time = now_;
-    event.job = job.id;
-    event.k = job.k;
-    event.interval = decision.interval;
-    persist_->Append(event);
-    event.kind = DurableEventKind::kSloUpdate;
-    event.k = 0;
-    event.interval = job.reservation;
-    event.slo_class = static_cast<uint8_t>(job.slo_class);
-    persist_->Append(event);
+    persist_->JournalAdmission(now_, job, decision);
   }
 }
 
@@ -528,20 +498,9 @@ void SchedulerDaemon::DropJob(JobId job, JobState reason, const char* why) {
   pending_.erase(std::remove(pending_.begin(), pending_.end(), job),
                  pending_.end());
   if (persist_ != nullptr) {
-    DurableEvent event;
-    event.kind = DurableEventKind::kJobDropped;
-    event.time = now_;
-    event.job = job;
-    persist_->Append(event);
+    persist_->JournalDrop(now_, job);
   }
-  if (ProvenanceRecorder::Global().enabled()) {
-    ProvenanceRecord record;
-    record.kind = ProvKind::kDropped;
-    record.time = now_;
-    record.job = job;
-    record.label = why;
-    ProvenanceRecorder::Global().Record(std::move(record));
-  }
+  ProvenanceRecorder::Global().Record(ProvKind::kDropped, now_, job, why);
 }
 
 void SchedulerDaemon::ApplyDecision(const SchedulerPolicy::Decision& decision) {
@@ -549,6 +508,10 @@ void SchedulerDaemon::ApplyDecision(const SchedulerPolicy::Decision& decision) {
   // records, then the applied marker with the policy's durable state.
   if (persist_ != nullptr) {
     persist_->JournalIntent(now_, decision);
+  }
+  // Preemptions first: they free the capacity the placements rely on.
+  for (JobId job : decision.preempt) {
+    PreemptJob(job);
   }
   for (const Placement& placement : decision.start_now) {
     auto it = jobs_.find(placement.job);
@@ -570,15 +533,9 @@ void SchedulerDaemon::ApplyDecision(const SchedulerPolicy::Decision& decision) {
     if (persist_ != nullptr) {
       persist_->JournalLaunch(now_, placement, now_);
     }
-    if (ProvenanceRecorder::Global().enabled()) {
-      ProvenanceRecord record;
-      record.kind = ProvKind::kStart;
-      record.time = now_;
-      record.job = placement.job;
-      record.label = entry.preferred ? "preferred" : "fallback";
-      record.value = placement.value;
-      ProvenanceRecorder::Global().Record(std::move(record));
-    }
+    ProvenanceRecorder::Global().Record(
+        ProvKind::kStart, now_, placement.job,
+        entry.preferred ? "preferred" : "fallback", placement.value);
   }
   for (JobId job : decision.drop) {
     DropJob(job, JobState::kDropped, "deadline unreachable");
@@ -587,6 +544,25 @@ void SchedulerDaemon::ApplyDecision(const SchedulerPolicy::Decision& decision) {
   if (persist_ != nullptr) {
     persist_->JournalApplied(now_, scheduler_.ExportDurableState());
   }
+}
+
+void SchedulerDaemon::PreemptJob(JobId job) {
+  auto it = jobs_.find(job);
+  if (it == jobs_.end() || it->second.state != JobState::kRunning) {
+    return;
+  }
+  JobEntry& entry = it->second;
+  running_.erase({entry.end, job});
+  entry.state = JobState::kPending;  // restarts from scratch
+  entry.start = -1;
+  entry.end = -1;
+  entry.placement.clear();
+  pending_.push_back(job);
+  if (persist_ != nullptr) {
+    persist_->JournalPreempt(now_, job);
+  }
+  ProvenanceRecorder::Global().Record(ProvKind::kPreempted, now_, job,
+                                      "policy-preempt");
 }
 
 void SchedulerDaemon::RunCycle(SteadyClock::time_point started) {
@@ -611,16 +587,8 @@ void SchedulerDaemon::RunCycle(SteadyClock::time_point started) {
   running.reserve(running_.size());
   for (const auto& [end, job_id] : running_) {
     const JobEntry& entry = jobs_.at(job_id);
-    RunningHold hold;
-    hold.job = job_id;
-    hold.slo_class = entry.job.slo_class;
-    hold.start = entry.start;
-    hold.reservation_end = entry.job.slo_class == SloClass::kSloAccepted
-                               ? entry.job.reservation.end
-                               : kTimeNever;
-    hold.counts = entry.placement;
-    hold.expected_end = entry.end;
-    running.push_back(std::move(hold));
+    running.push_back(
+        RunningJobHold(entry.job, entry.start, entry.placement, entry.end));
   }
 
   if (!pending_jobs.empty() || !running.empty()) {
@@ -628,7 +596,12 @@ void SchedulerDaemon::RunCycle(SteadyClock::time_point started) {
         scheduler_.OnCycle(now_, pending_jobs, running, started);
     // Defense in depth: the scheduler validates internally, but the
     // service revalidates before committing anything to its ledger (the
-    // acceptance bar: zero violations across restarts).
+    // acceptance bar: zero violations across restarts). The plan may use
+    // what its preemptions free, so the victims' holds do not count.
+    std::erase_if(running, [&](const RunningHold& hold) {
+      return std::find(decision.preempt.begin(), decision.preempt.end(),
+                       hold.job) != decision.preempt.end();
+    });
     std::vector<PlanViolation> violations =
         ValidatePlan(cluster_, pending_jobs, running, decision.start_now);
     if (!violations.empty()) {
@@ -638,6 +611,7 @@ void SchedulerDaemon::RunCycle(SteadyClock::time_point started) {
                             << violation.job << "): " << violation.reason;
       }
       decision.start_now.clear();  // skip the cycle; replan next period
+      decision.preempt.clear();
     }
     ApplyDecision(decision);
   }
@@ -772,12 +746,7 @@ std::string SchedulerDaemon::HandleSubmit(const ServiceRequest& request,
   }
   // Acknowledged means durable: journal the acceptance before the reply.
   if (persist_ != nullptr) {
-    DurableEvent event;
-    event.kind = DurableEventKind::kServiceSubmit;
-    event.time = now_;
-    event.job = job.id;
-    event.blob = JobSpecToJson(job);
-    persist_->Append(event);
+    persist_->JournalSubmit(now_, job.id, JobSpecToJson(job));
   }
   JobEntry entry;
   entry.job = job;

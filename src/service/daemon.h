@@ -223,6 +223,8 @@ class SchedulerDaemon {
   void Reserve(Job& job);
   void ApplyDecision(const SchedulerPolicy::Decision& decision);
   void DropJob(JobId job, JobState reason, const char* why);
+  // Sends a running job back to pending (a policy preemption).
+  void PreemptJob(JobId job);
 
   JsonObj JobStatusJson(const JobEntry& entry) const;
   DaemonStatus UnlockedStatus() const;

@@ -149,7 +149,9 @@ class ControlPlane {
   ControlPlane(const Cluster& cluster, const CommsParams& params);
 
   // Enabled and capable of diverging from ground truth. When false the
-  // simulator takes its legacy oracle path and never calls anything below.
+  // simulator never runs the detector; its commit path still acquires
+  // through believed_down_mask() (all zero) and DeliverCommand (always
+  // true), so it behaves as the oracle.
   bool active() const { return active_; }
   const CommsParams& params() const { return params_; }
 

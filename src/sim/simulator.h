@@ -122,8 +122,8 @@ bool IsPreferredPlacement(const Cluster& cluster, const Job& job,
                           const std::map<PartitionId, int>& counts);
 
 // Runs every reservation-seeking job through Rayon admission (in submit
-// order, with conservative fallback-runtime estimates), setting slo_class
-// and reservation on each job. Returns the number accepted. When `rayon`
+// order, sizing each reservation by the job's preferred-placement runtime
+// estimate), setting slo_class and reservation on each job. Returns the number accepted. When `rayon`
 // is provided the admission runs against it (so the same agenda can later
 // serve SimConfig::rayon re-admission); otherwise a throwaway agenda is
 // used.

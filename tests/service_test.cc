@@ -611,6 +611,60 @@ TEST(ServiceEndToEndTest, RunningIndexTracksRunningJobs) {
   EXPECT_EQ(restarted.daemon().StatusSnapshot().running, 2);
 }
 
+// Rescue preemption through the service: a best-effort hog holds the whole
+// cluster, an accepted SLO job is about to miss its last start time, and
+// the scheduler preempts the hog to start it. The daemon must apply the
+// preemption and check the plan against the surviving holds, not veto the
+// rescue as over-committed.
+TEST(ServiceEndToEndTest, PreemptionRescuesStrandedSloJob) {
+  DaemonOptions options = FastOptions();
+  options.scheduler.enable_preemption = true;
+  // A budget cut-off would drop the rescue to the greedy rung, which never
+  // preempts; a slow (sanitizer) build must not lose the window that way.
+  options.scheduler.budget.budget_seconds = 10.0;
+  DaemonHarness harness(options);
+  ASSERT_TRUE(harness.Start());
+  ServiceClient client = harness.Connect("preempt");
+  auto whole_cluster_job = [](int64_t runtime) {
+    JsonObj spec;
+    spec.Field("type", "unconstrained");
+    spec.Field("k", static_cast<int64_t>(8));
+    spec.Field("runtime", runtime);
+    return spec;
+  };
+  int64_t hog = -1;
+  ServiceReply hog_status = SubmitAndAwait(
+      harness, client, whole_cluster_job(/*runtime=*/4000), "running", &hog);
+  const int64_t hog_start = hog_status.body.IntOr("start", -1);
+  ASSERT_GE(hog_start, 0);
+
+  // Drained one cycle (4 s) after acceptance, with its last start 16 s
+  // after acceptance: inside the scheduler's two-quantum (16 s) rescue
+  // horizon for the next four cycles.
+  JsonObj slo = whole_cluster_job(/*runtime=*/60);
+  slo.Field("deadline_in", static_cast<int64_t>(76));
+  slo.Field("reservation", true);
+  int64_t job = -1;
+  ServiceReply status = SubmitAndAwait(harness, client, slo, "completed", &job);
+  EXPECT_EQ(status.body.StringOr("slo_class", ""), "slo-accepted");
+  EXPECT_LE(status.body.IntOr("end", -1), status.body.IntOr("deadline", -1));
+  ServiceReply victim = client.StatusOf(hog);
+  ASSERT_TRUE(victim.ok) << victim.error;
+  EXPECT_NE(victim.body.IntOr("start", -1), hog_start);  // preempted
+  // The flight recorder tells both stories in the simulator's labels.
+  ServiceReply explain = client.Explain(job);
+  ASSERT_TRUE(explain.ok) << explain.error;
+  EXPECT_NE(explain.body.StringOr("report", "").find("[met]"),
+            std::string::npos);
+  explain = client.Explain(hog);
+  ASSERT_TRUE(explain.ok) << explain.error;
+  EXPECT_NE(explain.body.StringOr("report", "").find("[policy-preempt]"),
+            std::string::npos);
+  harness.Stop();
+  EXPECT_EQ(harness.daemon().StatusSnapshot().validator_violations, 0);
+  EXPECT_TRUE(harness.daemon().RunningIndexConsistent());
+}
+
 // The cycle driver's and the cycle budget's instruments reach both exports.
 TEST(ServiceEndToEndTest, CycleInstrumentsExported) {
   DaemonHarness harness(FastOptions());

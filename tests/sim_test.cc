@@ -263,6 +263,146 @@ TEST_F(BaselineTest, HeterogeneityUnawarePlacement) {
             cs_mpi->completion - cs_mpi->start_time);
 }
 
+// --- Commit-time placement guard ---------------------------------------------
+
+// A policy that places pending jobs first-fit against the holds it is shown,
+// but prefixes one malformed placement to each of its first five cycles. The
+// simulator's commit path is the last line of defence against such plans:
+// every one must be refused without touching the ledger.
+class RoguePolicy : public SchedulerPolicy {
+ public:
+  // `running` is a job the honest part has started by cycle 1; `held` is a
+  // pending job it keeps back until the rogue cycles are over.
+  RoguePolicy(const Cluster& cluster, JobId running, JobId held)
+      : cluster_(cluster), running_(running), held_(held) {}
+
+  Decision OnCycle(SimTime /*now*/, const std::vector<const Job*>& pending,
+                   const std::vector<RunningHold>& running) override {
+    std::vector<int> free(cluster_.num_partitions());
+    for (const Partition& partition : cluster_.partitions()) {
+      free[partition.id] = partition.capacity();
+    }
+    for (const RunningHold& hold : running) {
+      for (const auto& [partition, count] : hold.counts) {
+        free[partition] -= count;
+      }
+    }
+    for (int slots : free) {
+      if (slots < 0) {
+        ++overcommitted_views_;
+      }
+    }
+    Decision decision;
+    if (cycle_ < 5) {
+      decision.start_now.push_back(Rogue(cycle_, free));
+    }
+    for (const Job* job : pending) {
+      if (job->id == held_ && cycle_ < 5) {
+        continue;
+      }
+      Placement placement;
+      placement.job = job->id;
+      placement.est_duration = job->actual_runtime;
+      int want = job->k;
+      for (PartitionId p = 0; p < cluster_.num_partitions() && want > 0;
+           ++p) {
+        int take = std::min(want, free[p]);
+        if (take > 0) {
+          placement.counts[p] = take;
+          want -= take;
+        }
+      }
+      if (want > 0) {
+        continue;  // does not fit this cycle
+      }
+      for (const auto& [partition, count] : placement.counts) {
+        free[partition] -= count;
+      }
+      decision.start_now.push_back(std::move(placement));
+    }
+    ++cycle_;
+    return decision;
+  }
+
+  const char* name() const override { return "rogue"; }
+
+  int overcommitted_views() const { return overcommitted_views_; }
+
+ private:
+  Placement Rogue(int cycle, const std::vector<int>& free) const {
+    Placement placement;
+    placement.job = held_;
+    placement.est_duration = 10;
+    switch (cycle) {
+      case 0:
+        placement.job = 999;  // unknown job id
+        placement.counts[0] = 1;
+        break;
+      case 1:
+        placement.job = running_;  // already running
+        placement.counts[1] = 1;
+        break;
+      case 2:
+        placement.counts[cluster_.num_partitions() + 5] = 2;
+        break;
+      case 3:
+        placement.counts[0] = 0;  // a 0-node gang
+        break;
+      default:
+        placement.counts[0] = free[0] + 1;  // more nodes than are free
+        break;
+    }
+    return placement;
+  }
+
+  const Cluster& cluster_;
+  JobId running_;
+  JobId held_;
+  int cycle_ = 0;
+  int overcommitted_views_ = 0;
+};
+
+TEST_F(SimulatorTest, CommitGuardRejectsMalformedPlacements) {
+  // Job 1 pins 3 of partition 0's 4 nodes through every rogue cycle, so
+  // the over-capacity proposal for the 2-node job 3 cannot fit there.
+  // Job 4 needs the whole cluster: it starts only if every rejected
+  // proposal left the ledger exactly as it was.
+  std::vector<Job> jobs{
+      MakeJob(1, JobType::kUnconstrained, 3, 60, kTimeNever, false, 0),
+      MakeJob(2, JobType::kUnconstrained, 2, 10, kTimeNever, false, 0),
+      MakeJob(3, JobType::kUnconstrained, 2, 10, kTimeNever, false, 0),
+      MakeJob(4, JobType::kUnconstrained, 8, 10, kTimeNever, false, 30)};
+  ApplyAdmission(cluster_, jobs);
+  ASSERT_EQ(cluster_.partition(0).capacity(), 4);
+  RoguePolicy rogue(cluster_, /*running=*/1, /*held=*/3);
+  SimTrace trace;
+  SimConfig config;
+  config.trace = &trace;
+  Simulator sim(cluster_, rogue, jobs, config);
+  SimMetrics metrics = sim.Run();
+
+  EXPECT_EQ(metrics.validator_violations, 5);
+  EXPECT_EQ(trace.CountKind(TraceEventKind::kPlanReject), 5);
+  std::vector<JobId> rejected;
+  for (const TraceEvent& event : trace.events()) {
+    if (event.kind == TraceEventKind::kPlanReject) {
+      rejected.push_back(event.job);
+    }
+  }
+  EXPECT_EQ(rejected, (std::vector<JobId>{999, 1, 3, 3, 3}));
+  EXPECT_EQ(rogue.overcommitted_views(), 0);
+  for (const JobOutcome& outcome : metrics.outcomes) {
+    EXPECT_TRUE(outcome.completed) << "job " << outcome.id;
+  }
+  // Job 1 ran once, uninterrupted, despite the proposal to start it again.
+  EXPECT_EQ(metrics.outcomes[0].start_time, 0);
+  EXPECT_EQ(metrics.outcomes[0].completion, 60);
+  // Job 3 started only once the honest part released it (cycle 5, t = 20).
+  EXPECT_EQ(metrics.outcomes[2].start_time, 20);
+  EXPECT_EQ(metrics.outcomes[3].start_time, 60);
+  EXPECT_LE(metrics.utilization, 1.0);
+}
+
 // --- End-to-end smoke: full workload through both stacks --------------------
 
 TEST(EndToEndTest, TetriSchedBeatsBaselineOnHetMix) {
