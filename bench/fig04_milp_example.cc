@@ -36,7 +36,7 @@ int Main() {
   CompiledStrl compiled = StrlCompiler(availability).Compile(root);
   std::printf("Generated MILP: %d variables, %d constraints\n",
               compiled.model().num_vars(), compiled.model().num_constraints());
-  std::printf("%s\n", compiled.model().DebugString().c_str());
+  std::printf("%s\n", compiled.DebugString().c_str());
 
   MilpOptions options;
   options.rel_gap = 0.0;

@@ -3,8 +3,8 @@
 // Deliberately synchronous: one request on the wire at a time, one matching
 // response awaited with a poll(2) deadline. That keeps the library a
 // dependency-light building block for CLIs (tools/tetrisched_ctl), load
-// generators (bench/fig_service), and in-process tests, which all want
-// call-and-wait semantics rather than an event loop of their own.
+// generators (perfbench's service_open_loop), and in-process tests, which
+// all want call-and-wait semantics rather than an event loop of their own.
 //
 // Transport: loopback TCP, Unix domain socket, or an adopted pre-connected
 // fd (the daemon's AddConnectionFd counterpart for socketpair tests).

@@ -200,12 +200,22 @@ std::string PromBaseName(const std::string& name) {
 std::string MetricsRegistry::ToPrometheusText() const {
   MetricsSnapshot snap = Snapshot();
   std::string out;
+  // Consecutive series of one family (its bare name, then its labelled
+  // series, in name order) share one TYPE line.
+  std::string family;
+  auto type_line = [&](const std::string& name, const char* type) {
+    if (PromBaseName(name) != family) {
+      family = PromBaseName(name);
+      out += "# TYPE " + family + " " + type + "\n";
+    }
+  };
   for (const auto& [name, value] : snap.counters) {
-    out += "# TYPE " + PromBaseName(name) + " counter\n";
+    type_line(name, "counter");
     out += name + " " + std::to_string(value) + "\n";
   }
+  family.clear();
   for (const auto& [name, value] : snap.gauges) {
-    out += "# TYPE " + PromBaseName(name) + " gauge\n";
+    type_line(name, "gauge");
     out += name + " " + FormatNumber(value) + "\n";
   }
   for (const HistogramSnapshot& h : snap.histograms) {

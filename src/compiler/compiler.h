@@ -22,6 +22,8 @@
 
 #include <map>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/availability.h"
@@ -103,6 +105,11 @@ class CompiledStrl {
   // before the solver ever saw it.
   bool LeafCulledAtCompile(LeafTag tag) const;
 
+  // The model's dump (MilpModel::DebugString) with rows and variables
+  // labelled from the leaf and supply tables. The compiled model itself
+  // carries no names: labels are built only here.
+  std::string DebugString() const;
+
  private:
   friend class StrlCompiler;
   friend struct StrlCompileAccess;  // implementation backdoor (compiler.cc)
@@ -115,18 +122,36 @@ class CompiledStrl {
     double value = 0.0;
     bool linear = false;  // LnCk
     VarId indicator = -1;
-    // Parallel arrays: partition id and its P variable (-1 when the leaf
+    // The leaf's demand row, or its cull row (I <= 0) when it was culled;
+    // -1 for a single-partition nCk, which needs none.
+    ConstraintId row = -1;
+    // Entries [partition_begin, partition_end) of leaf_partitions_ and
+    // leaf_partition_vars_: a partition and its P variable (-1 when the leaf
     // collapsed to a single partition and P == k * indicator).
-    std::vector<PartitionId> partitions;
-    std::vector<VarId> partition_vars;
-    // Indicators of enclosing MAX/SUM nodes (root first) that must be 1 for
-    // this leaf to be chosen; used for warm starts.
-    std::vector<VarId> ancestor_indicators;
+    int32_t partition_begin = 0;
+    int32_t partition_end = 0;
+    // Entries [ancestor_begin, ancestor_end) of leaf_ancestors_: indicators
+    // of enclosing MAX/SUM nodes (root first) that must be 1 for this leaf to
+    // be chosen; used for warm starts.
+    int32_t ancestor_begin = 0;
+    int32_t ancestor_end = 0;
   };
+
+  std::span<const PartitionId> partitions(const LeafInfo& leaf) const;
+  std::span<const VarId> partition_vars(const LeafInfo& leaf) const;
+  std::span<const VarId> ancestors(const LeafInfo& leaf) const;
+  // Index of the leaf tagged `tag`, or -1.
+  int FindLeaf(LeafTag tag) const;
 
   MilpModel model_;
   std::vector<LeafInfo> leaves_;
-  std::map<LeafTag, int> tag_to_leaf_;
+  // Every leaf's lists back to back (see LeafInfo), so a compile allocates
+  // per model, not per leaf.
+  std::vector<PartitionId> leaf_partitions_;
+  std::vector<VarId> leaf_partition_vars_;
+  std::vector<VarId> leaf_ancestors_;
+  // (tag, leaf) pairs sorted by tag, one per tag: its last leaf.
+  std::vector<std::pair<LeafTag, int>> tag_to_leaf_;
   std::vector<SupplyRowRef> supply_rows_;
   TimeGrid grid_;  // copy of the compile-time grid, for row geometry
   VarId root_indicator_ = -1;

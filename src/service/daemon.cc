@@ -6,6 +6,7 @@
 #include <chrono>
 #include <limits>
 
+#include "src/common/json.h"
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
 #include "src/core/plan_check.h"
@@ -453,8 +454,15 @@ void SchedulerDaemon::DrainIntakeIntoPending() {
     }
     entry.state = JobState::kPending;
     pending_.push_back(job_id);
-    ProvenanceRecorder::Global().Record(ProvKind::kArrival, now_, job_id,
-                                        tetrisched::ToString(entry.job.type));
+    // The simulator's vocabulary: SLO class, gang size, and its deadline.
+    ProvenanceRecorder::Global().Record(
+        ProvKind::kArrival, now_, job_id,
+        tetrisched::ToString(entry.job.slo_class),
+        static_cast<double>(entry.job.k),
+        JsonObj()
+            .Field("k", entry.job.k)
+            .Field("deadline", static_cast<int64_t>(entry.job.deadline))
+            .str());
   }
 }
 
@@ -533,9 +541,14 @@ void SchedulerDaemon::ApplyDecision(const SchedulerPolicy::Decision& decision) {
     if (persist_ != nullptr) {
       persist_->JournalLaunch(now_, placement, now_);
     }
+    // As in the simulator, valued by the gang's node count. The label is
+    // the scheduler's belief about placement quality: the simulator records
+    // the ground truth, which the daemon never knows.
     ProvenanceRecorder::Global().Record(
         ProvKind::kStart, now_, placement.job,
-        entry.preferred ? "preferred" : "fallback", placement.value);
+        entry.preferred ? "preferred" : "fallback",
+        static_cast<double>(placement.total_nodes()),
+        JsonObj().Field("nodes", placement.total_nodes()).str());
   }
   for (JobId job : decision.drop) {
     DropJob(job, JobState::kDropped, "deadline unreachable");

@@ -14,6 +14,16 @@ Counter* CertifierRejects() {
   return counter;
 }
 
+// Counts one rejected plan: the total, and the series labelled with the
+// check that failed first.
+void CountReject(const char* reason) {
+  CertifierRejects()->Increment();
+  GlobalMetrics()
+      .GetCounter(std::string("tetrisched_certifier_rejects_total{reason=\"") +
+                  reason + "\"}")
+      ->Increment();
+}
+
 std::string Describe(const char* what, int index, double magnitude) {
   char buf[160];
   std::snprintf(buf, sizeof(buf), "%s (index %d, violation %.3g)", what, index,
@@ -26,18 +36,19 @@ std::string Describe(const char* what, int index, double magnitude) {
 CertifyReport CertifyPlan(const MilpModel& model, const MilpResult& result,
                           const MilpOptions& options, CertifyOptions certify) {
   CertifyReport report;
-  auto reject = [&](std::string failure) -> CertifyReport& {
+  const char* reason = nullptr;  // the first failed check's label
+  auto reject = [&](const char* label, std::string failure) {
     report.ok = false;
-    if (report.failure.empty()) {
+    if (reason == nullptr) {
+      reason = label;
       report.failure = std::move(failure);
     }
-    return report;
   };
 
   if (!result.HasSolution() ||
       static_cast<int>(result.values.size()) != model.num_vars()) {
-    reject("incumbent missing or wrong dimension");
-    CertifierRejects()->Increment();
+    reject("missing_incumbent", "incumbent missing or wrong dimension");
+    CountReject(reason);
     return report;
   }
 
@@ -47,19 +58,20 @@ CertifyReport CertifyPlan(const MilpModel& model, const MilpResult& result,
   for (int v = 0; v < model.num_vars(); ++v) {
     const double x = result.values[v];
     if (!std::isfinite(x)) {
-      reject(Describe("non-finite value", v, 0.0));
+      reject("non_finite", Describe("non-finite value", v, 0.0));
       break;
     }
     if (x < model.lower_bound(v) - certify.feas_tol ||
         x > model.upper_bound(v) + certify.feas_tol) {
       const double viol = std::max(model.lower_bound(v) - x,
                                    x - model.upper_bound(v));
-      reject(Describe("variable bound violated", v, viol));
+      reject("bound", Describe("variable bound violated", v, viol));
       break;
     }
     if (model.IsIntegerLike(v) &&
         std::abs(x - std::round(x)) > certify.int_tol) {
-      reject(Describe("integrality violated", v, std::abs(x - std::round(x))));
+      reject("integrality", Describe("integrality violated", v,
+                                     std::abs(x - std::round(x))));
       break;
     }
   }
@@ -86,9 +98,7 @@ CertifyReport CertifyPlan(const MilpModel& model, const MilpResult& result,
     }
     if (viol > tol) {
       ++report.violated_rows;
-      if (report.ok) {
-        reject(Describe("constraint row violated", c, viol));
-      }
+      reject("row", Describe("constraint row violated", c, viol));
     }
   }
 
@@ -97,7 +107,8 @@ CertifyReport CertifyPlan(const MilpModel& model, const MilpResult& result,
   report.objective_error = std::abs(recomputed - result.objective);
   if (report.objective_error >
       certify.obj_tol * std::max(1.0, std::abs(recomputed))) {
-    reject(Describe("objective mismatch", -1, report.objective_error));
+    reject("objective",
+           Describe("objective mismatch", -1, report.objective_error));
   }
 
   // A finite bound must actually bound the incumbent from above (the model
@@ -106,8 +117,8 @@ CertifyReport CertifyPlan(const MilpModel& model, const MilpResult& result,
   if (std::isfinite(result.best_bound) &&
       result.best_bound <
           recomputed - (options.abs_gap + certify.gap_slop)) {
-    reject(Describe("bound below incumbent", -1,
-                    recomputed - result.best_bound));
+    reject("bound_below_incumbent", Describe("bound below incumbent", -1,
+                                             recomputed - result.best_bound));
   }
 
   // Gap audit: only when the solve *claims* a proven gap. kFeasible makes no
@@ -124,12 +135,13 @@ CertifyReport CertifyPlan(const MilpModel& model, const MilpResult& result,
                        options.rel_gap * std::max(std::abs(recomputed), 1e-9)) +
                   certify.gap_slop;
     if (gap > allowed) {
-      reject(Describe("claimed gap not covered by bound", -1, gap - allowed));
+      reject("gap", Describe("claimed gap not covered by bound", -1,
+                             gap - allowed));
     }
   }
 
   if (!report.ok) {
-    CertifierRejects()->Increment();
+    CountReject(reason);
   }
   return report;
 }

@@ -193,16 +193,16 @@ MilpResult SolveDecomposed(const MilpModel& model, const Decomposition& decomp,
     components[comp].vars.push_back(v);
     local[v] = id;
   }
+  std::vector<LinTerm> remapped;
   for (int c = 0; c < m; ++c) {
     std::span<const LinTerm> terms = model.constraint_terms(c);
-    std::vector<LinTerm> remapped;
-    remapped.reserve(terms.size());
+    remapped.clear();
     for (const LinTerm& term : terms) {
       remapped.push_back({local[term.var], term.coeff});
     }
     components[decomp.row_component[c]].model.AddConstraint(
-        std::move(remapped), model.constraint_sense(c),
-        model.constraint_rhs(c), model.constraint_name(c));
+        remapped, model.constraint_sense(c), model.constraint_rhs(c),
+        model.constraint_name(c));
   }
 
   // Warm-start slicing: the cycle's full-model hint projects onto each

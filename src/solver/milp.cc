@@ -116,6 +116,13 @@ using NodeQueue =
     std::priority_queue<std::shared_ptr<const Node>,
                         std::vector<std::shared_ptr<const Node>>, NodeOrder>;
 
+// A diving worker's reusable buffers: the dive's bounds and its last basis.
+struct DiveScratch {
+  std::vector<double> lower;
+  std::vector<double> upper;
+  LpBasis basis;
+};
+
 // Applies the ancestor chain's bound tightenings on top of the root bounds
 // already present in lower/upper. Tightenings commute (max on lower, min on
 // upper), so walking leaf-to-root is fine.
@@ -453,14 +460,17 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
   // fractional integer to a rounding (trying the nearer side first, the
   // other side on infeasibility) until integral. Cheap and effective on
   // packing structures; used at the root and periodically during the search.
-  // `lp` is the calling worker's private solver.
-  auto dive = [&](LpSolver& lp, const std::vector<double>& from_lower,
+  // `lp` and `scratch` are the calling worker's own.
+  auto dive = [&](LpSolver& lp, DiveScratch& scratch,
+                  const std::vector<double>& from_lower,
                   const std::vector<double>& from_upper, LpResult start_relax,
                   const LpBasis* start_basis) {
-    std::vector<double> dive_lower = from_lower;
-    std::vector<double> dive_upper = from_upper;
+    std::vector<double>& dive_lower = scratch.lower;
+    std::vector<double>& dive_upper = scratch.upper;
+    dive_lower.assign(from_lower.begin(), from_lower.end());
+    dive_upper.assign(from_upper.begin(), from_upper.end());
     LpResult relax = std::move(start_relax);
-    LpBasis basis;
+    LpBasis& basis = scratch.basis;
     const LpBasis* warm = start_basis;
     for (int step = 0; step < 2 * n + 16; ++step) {
       int v = MostFractionalVar(model_, relax.values, options_.int_tol);
@@ -495,7 +505,7 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
         return;
       }
       relax = std::move(next);
-      basis = lp.BasisSnapshot();
+      lp.BasisSnapshot(basis);
       warm = &basis;
       if (deadline.Expired()) {
         return;
@@ -594,7 +604,8 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
   } else if (options_.enable_diving) {
     TETRI_SPAN("solver.root_dive");
     const auto dive_start = Clock::now();
-    dive(root_lp, root_lower, root_upper, root, &root_basis);
+    DiveScratch scratch;
+    dive(root_lp, scratch, root_lower, root_upper, root, &root_basis);
     ins.root_dive_ms->Observe(millis_since(dive_start));
   }
 
@@ -609,11 +620,14 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
 
   // Best-bound branch and bound over the shared queue. Each worker owns its
   // LpSolver (and with it the warm-start basis of the last node it solved);
-  // everything else it touches is the shared state above.
+  // everything else it touches is the shared state above. The solver is
+  // built at the worker's first expansion: a search that the root already
+  // settles never pays for it.
   auto worker = [&](int /*worker_id*/) {
-    LpSolver lp(model_, lp_options);
+    std::optional<LpSolver> lp;
     LpBasis last_basis = root_basis;
     std::vector<double> lower(n), upper(n);
+    DiveScratch scratch;
 
     std::unique_lock<std::mutex> lock(queue_mu);
     while (true) {
@@ -689,7 +703,10 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
       std::copy(root_upper.begin(), root_upper.end(), upper.begin());
       ApplyNodeBounds(*node, lower, upper);
 
-      LpResult relax = timed_lp(lp, lower, upper, &last_basis);
+      if (!lp.has_value()) {
+        lp.emplace(model_, lp_options);
+      }
+      LpResult relax = timed_lp(*lp, lower, upper, &last_basis);
       int node_count = nodes.fetch_add(1, std::memory_order_relaxed) + 1;
       nodes_since_improvement.fetch_add(1, std::memory_order_relaxed);
       lp_iterations.fetch_add(relax.iterations, std::memory_order_relaxed);
@@ -715,7 +732,7 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
       } else if (relax.status == LpStatus::kUnbounded) {
         hit_unbounded = true;
       } else {
-        last_basis = lp.BasisSnapshot();
+        lp->BasisSnapshot(last_basis);
         node_bound = std::min(node->bound, relax.objective);
         double inc = incumbent_atomic.load(std::memory_order_acquire);
         if (inc == -kInfinity || node_bound > inc + options_.abs_gap) {
@@ -725,7 +742,7 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
             offer_incumbent(relax.values);
           } else if (options_.enable_diving &&
                      node_count % kDiveEvery == 0) {
-            dive(lp, lower, upper, relax, &last_basis);
+            dive(*lp, scratch, lower, upper, relax, &last_basis);
             if (!gap_satisfied(node_bound)) {
               make_children = true;
               branch_x = relax.values[branch_var];

@@ -6,6 +6,27 @@
 
 namespace tetrisched {
 
+namespace {
+
+const std::string& NameOrEmpty(const std::vector<std::string>& names,
+                               int index) {
+  static const std::string kEmpty;
+  return index < static_cast<int>(names.size()) ? names[index] : kEmpty;
+}
+
+// An empty name past the end stores nothing: unnamed models stay string-free.
+void SetName(std::vector<std::string>& names, int index, std::string name) {
+  if (index >= static_cast<int>(names.size())) {
+    if (name.empty()) {
+      return;
+    }
+    names.resize(index + 1);
+  }
+  names[index] = std::move(name);
+}
+
+}  // namespace
+
 VarId MilpModel::AddVar(VarType type, double lower, double upper,
                         std::string name) {
   assert(lower <= upper);
@@ -13,8 +34,9 @@ VarId MilpModel::AddVar(VarType type, double lower, double upper,
   lowers_.push_back(lower);
   uppers_.push_back(upper);
   objective_.push_back(0.0);
-  var_names_.push_back(std::move(name));
-  return static_cast<VarId>(types_.size() - 1);
+  const VarId id = static_cast<VarId>(types_.size() - 1);
+  SetVarName(id, std::move(name));
+  return id;
 }
 
 VarId MilpModel::AddContinuousVar(double lower, double upper,
@@ -35,7 +57,14 @@ void MilpModel::AddObjectiveTerm(VarId var, double delta) {
   objective_[var] += delta;
 }
 
-ConstraintId MilpModel::AddConstraint(std::vector<LinTerm> terms,
+ConstraintId MilpModel::AddConstraint(std::initializer_list<LinTerm> terms,
+                                      ConstraintSense sense, double rhs,
+                                      std::string name) {
+  return AddConstraint(std::span<const LinTerm>(terms.begin(), terms.size()),
+                       sense, rhs, std::move(name));
+}
+
+ConstraintId MilpModel::AddConstraint(std::span<const LinTerm> terms,
                                       ConstraintSense sense, double rhs,
                                       std::string name) {
   for (const LinTerm& term : terms) {
@@ -45,8 +74,25 @@ ConstraintId MilpModel::AddConstraint(std::vector<LinTerm> terms,
   row_start_.push_back(static_cast<int64_t>(terms_.size()));
   senses_.push_back(sense);
   rhs_.push_back(rhs);
-  constraint_names_.push_back(std::move(name));
-  return static_cast<ConstraintId>(senses_.size() - 1);
+  const ConstraintId id = static_cast<ConstraintId>(senses_.size() - 1);
+  SetConstraintName(id, std::move(name));
+  return id;
+}
+
+const std::string& MilpModel::var_name(VarId v) const {
+  return NameOrEmpty(var_names_, v);
+}
+
+void MilpModel::SetVarName(VarId v, std::string name) {
+  SetName(var_names_, v, std::move(name));
+}
+
+const std::string& MilpModel::constraint_name(ConstraintId c) const {
+  return NameOrEmpty(constraint_names_, c);
+}
+
+void MilpModel::SetConstraintName(ConstraintId c, std::string name) {
+  SetName(constraint_names_, c, std::move(name));
 }
 
 std::span<const LinTerm> MilpModel::constraint_terms(ConstraintId c) const {
@@ -118,7 +164,14 @@ std::string MilpModel::DebugString() const {
   }
   out << "\nsubject to\n";
   for (int c = 0; c < num_constraints(); ++c) {
-    out << "  [" << constraint_names_[c] << "] ";
+    // Unnamed rows print their index.
+    out << "  [";
+    if (constraint_name(c).empty()) {
+      out << "c" << c;
+    } else {
+      out << constraint_name(c);
+    }
+    out << "] ";
     bool row_first = true;
     for (const LinTerm& term : constraint_terms(c)) {
       if (!row_first) {
@@ -154,8 +207,8 @@ std::string MilpModel::DebugString() const {
         out << " (cont";
         break;
     }
-    if (!var_names_[v].empty()) {
-      out << " '" << var_names_[v] << "'";
+    if (!var_name(v).empty()) {
+      out << " '" << var_name(v) << "'";
     }
     out << ")\n";
   }

@@ -16,6 +16,7 @@
 #define TETRISCHED_SOLVER_MODEL_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <span>
 #include <string>
@@ -59,8 +60,13 @@ class MilpModel {
   // Adds `delta` to the objective coefficient of `var`.
   void AddObjectiveTerm(VarId var, double delta);
 
-  ConstraintId AddConstraint(std::vector<LinTerm> terms, ConstraintSense sense,
-                             double rhs, std::string name = "");
+  // The terms are copied; a braced list binds to the second form.
+  ConstraintId AddConstraint(std::span<const LinTerm> terms,
+                             ConstraintSense sense, double rhs,
+                             std::string name = "");
+  ConstraintId AddConstraint(std::initializer_list<LinTerm> terms,
+                             ConstraintSense sense, double rhs,
+                             std::string name = "");
 
   // --- Introspection ------------------------------------------------------
 
@@ -71,14 +77,15 @@ class MilpModel {
   double lower_bound(VarId v) const { return lowers_[v]; }
   double upper_bound(VarId v) const { return uppers_[v]; }
   double objective_coeff(VarId v) const { return objective_[v]; }
-  const std::string& var_name(VarId v) const { return var_names_[v]; }
+  // Names are optional labels for dumps; empty when none was given.
+  const std::string& var_name(VarId v) const;
+  void SetVarName(VarId v, std::string name);
 
   std::span<const LinTerm> constraint_terms(ConstraintId c) const;
   ConstraintSense constraint_sense(ConstraintId c) const { return senses_[c]; }
   double constraint_rhs(ConstraintId c) const { return rhs_[c]; }
-  const std::string& constraint_name(ConstraintId c) const {
-    return constraint_names_[c];
-  }
+  const std::string& constraint_name(ConstraintId c) const;
+  void SetConstraintName(ConstraintId c, std::string name);
 
   bool IsIntegerLike(VarId v) const {
     return types_[v] != VarType::kContinuous;
@@ -103,6 +110,8 @@ class MilpModel {
   std::vector<double> lowers_;
   std::vector<double> uppers_;
   std::vector<double> objective_;
+  // Names are stored only once one is set: an unnamed model (every compiled
+  // cycle model) holds no strings. Indices past the end are unnamed.
   std::vector<std::string> var_names_;
 
   // Constraints in compressed form: terms_ holds all rows back to back,

@@ -138,7 +138,7 @@ Presolver::Presolver(const MilpModel& original) : original_(original) {
       ++num_fixed_;
       continue;
     }
-    VarId reduced_id;
+    VarId reduced_id = -1;
     switch (original.var_type(v)) {
       case VarType::kContinuous:
         reduced_id = reduced_.AddContinuousVar(lb[v], ub[v],
@@ -161,11 +161,12 @@ Presolver::Presolver(const MilpModel& original) : original_(original) {
     var_map_[v] = reduced_id;
   }
 
+  std::vector<LinTerm> terms;
   for (int c = 0; c < m; ++c) {
     if (row_dropped[c]) {
       continue;
     }
-    std::vector<LinTerm> terms;
+    terms.clear();
     double rhs = original.constraint_rhs(c);
     for (const LinTerm& term : original.constraint_terms(c)) {
       if (var_map_[term.var] >= 0) {
@@ -174,8 +175,8 @@ Presolver::Presolver(const MilpModel& original) : original_(original) {
         rhs -= term.coeff * fixed_value_[term.var];
       }
     }
-    reduced_.AddConstraint(std::move(terms), original.constraint_sense(c),
-                           rhs, original.constraint_name(c));
+    reduced_.AddConstraint(terms, original.constraint_sense(c), rhs,
+                           original.constraint_name(c));
   }
 }
 

@@ -56,50 +56,77 @@ LpSolver::LpSolver(const MilpModel& model, LpOptions options)
   m_ = model.num_constraints();
   total_ = n_ + m_;
 
-  cols_.assign(total_, {});
+  // Counting transpose of the model's rows into [A | I]: walking the rows in
+  // order leaves every column's entries in ascending row order.
+  col_start_.assign(total_ + 1, 0);
+  for (int c = 0; c < m_; ++c) {
+    for (const LinTerm& term : model.constraint_terms(c)) {
+      ++col_start_[term.var + 1];
+    }
+    ++col_start_[n_ + c + 1];  // slack column: unit vector on this row
+  }
+  for (int v = 0; v < total_; ++v) {
+    col_start_[v + 1] += col_start_[v];
+  }
+  col_row_.resize(col_start_[total_]);
+  col_val_.resize(col_start_[total_]);
+  std::vector<int32_t> fill(col_start_.begin(), col_start_.end() - 1);
   rhs_b_.assign(m_, 0.0);
   for (int c = 0; c < m_; ++c) {
     rhs_b_[c] = model.constraint_rhs(c);
     for (const LinTerm& term : model.constraint_terms(c)) {
-      cols_[term.var].push_back({c, term.coeff});
+      const int k = fill[term.var]++;
+      col_row_[k] = c;
+      col_val_[k] = term.coeff;
     }
-    // Slack column: unit vector on this row.
-    cols_[n_ + c].push_back({c, 1.0});
+    const int k = fill[n_ + c]++;
+    col_row_[k] = c;
+    col_val_[k] = 1.0;
   }
-  // Merge duplicate variable mentions within a row; drop entries that cancel
-  // (the factorization treats every stored entry as a structural nonzero).
-  for (int v = 0; v < n_; ++v) {
-    auto& col = cols_[v];
-    std::sort(col.begin(), col.end(),
-              [](const ColEntry& a, const ColEntry& b) { return a.row < b.row; });
-    size_t out = 0;
-    for (size_t i = 0; i < col.size(); ++i) {
-      if (out > 0 && col[out - 1].row == col[i].row) {
-        col[out - 1].coeff += col[i].coeff;
+  // Merge duplicate variable mentions within a row, then drop entries that
+  // cancel (the factorization treats every stored entry as a structural
+  // nonzero). Compacts in place, column by column.
+  int out = 0;
+  for (int v = 0; v < total_; ++v) {
+    const int begin = col_start_[v];
+    const int end = col_start_[v + 1];
+    const int first = out;
+    for (int k = begin; k < end; ++k) {
+      if (out > first && col_row_[out - 1] == col_row_[k]) {
+        col_val_[out - 1] += col_val_[k];
       } else {
-        col[out++] = col[i];
+        col_row_[out] = col_row_[k];
+        col_val_[out++] = col_val_[k];
       }
     }
-    col.resize(out);
-    std::erase_if(col, [](const ColEntry& e) { return e.coeff == 0.0; });
+    const int merged_end = out;
+    out = first;
+    for (int k = first; k < merged_end; ++k) {
+      if (col_val_[k] != 0.0) {
+        col_row_[out] = col_row_[k];
+        col_val_[out++] = col_val_[k];
+      }
+    }
+    col_start_[v] = first;
   }
+  col_start_[total_] = out;
+  col_row_.resize(out);
+  col_val_.resize(out);
 
   row_start_.assign(m_ + 1, 0);
-  for (int v = 0; v < n_; ++v) {
-    for (const ColEntry& e : cols_[v]) {
-      ++row_start_[e.row + 1];
-    }
+  for (int k = 0; k < col_start_[n_]; ++k) {
+    ++row_start_[col_row_[k] + 1];
   }
   for (int c = 0; c < m_; ++c) {
     row_start_[c + 1] += row_start_[c];
   }
   row_var_.resize(row_start_[m_]);
   row_coeff_.resize(row_start_[m_]);
-  std::vector<int32_t> fill(row_start_.begin(), row_start_.end() - 1);
+  fill.assign(row_start_.begin(), row_start_.end() - 1);
   for (int v = 0; v < n_; ++v) {
-    for (const ColEntry& e : cols_[v]) {
-      row_var_[fill[e.row]] = v;
-      row_coeff_[fill[e.row]++] = e.coeff;
+    for (int k = col_start_[v]; k < col_start_[v + 1]; ++k) {
+      row_var_[fill[col_row_[k]]] = v;
+      row_coeff_[fill[col_row_[k]]++] = col_val_[k];
     }
   }
 
@@ -211,6 +238,14 @@ bool LpSolver::InstallWarmBasis(const LpBasis& warm) {
 bool LpSolver::Factorize() {
   factor_valid_ = false;
   FactorWork& f = fw_;
+  // Size the factor arrays up front (they keep their capacity across
+  // refactorizations), so the first factorization does not grow them entry
+  // by entry.
+  piv_row_.reserve(m_);
+  piv_pos_.reserve(m_);
+  u_diag_.reserve(m_);
+  l_start_.reserve(m_ + 1);
+  u_start_.reserve(m_ + 1);
   piv_row_.clear();
   piv_pos_.clear();
   u_diag_.clear();
@@ -223,17 +258,15 @@ bool LpSolver::Factorize() {
   eta_pos_.clear();
   eta_pivot_.clear();
   eta_start_.assign(1, 0);
-  eta_index_.clear();
-  eta_value_.clear();
 
   // Row-wise copy of B and the active entry counts.
   f.row_start.assign(m_ + 1, 0);
   f.col_count.resize(m_);
   for (int pos = 0; pos < m_; ++pos) {
-    const auto& col = cols_[basic_[pos]];
-    f.col_count[pos] = static_cast<int32_t>(col.size());
-    for (const ColEntry& e : col) {
-      ++f.row_start[e.row + 1];
+    const int v = basic_[pos];
+    f.col_count[pos] = col_start_[v + 1] - col_start_[v];
+    for (int k = col_start_[v]; k < col_start_[v + 1]; ++k) {
+      ++f.row_start[col_row_[k] + 1];
     }
   }
   f.row_count.resize(m_);
@@ -245,10 +278,11 @@ bool LpSolver::Factorize() {
   f.row_val.resize(f.row_start[m_]);
   f.index.assign(f.row_start.begin(), f.row_start.end() - 1);
   for (int pos = 0; pos < m_; ++pos) {
-    for (const ColEntry& e : cols_[basic_[pos]]) {
-      const int k = f.index[e.row]++;
-      f.row_pos[k] = pos;
-      f.row_val[k] = e.coeff;
+    const int v = basic_[pos];
+    for (int k = col_start_[v]; k < col_start_[v + 1]; ++k) {
+      const int slot = f.index[col_row_[k]]++;
+      f.row_pos[slot] = pos;
+      f.row_val[slot] = col_val_[k];
     }
   }
 
@@ -281,10 +315,11 @@ bool LpSolver::Factorize() {
     }
     int row = -1;
     double value = 0.0;
-    for (const ColEntry& e : cols_[basic_[pos]]) {
-      if (f.row_count[e.row] >= 0) {
-        row = e.row;
-        value = e.coeff;
+    const int v = basic_[pos];
+    for (int k = col_start_[v]; k < col_start_[v + 1]; ++k) {
+      if (f.row_count[col_row_[k]] >= 0) {
+        row = col_row_[k];
+        value = col_val_[k];
         break;
       }
     }
@@ -332,14 +367,16 @@ bool LpSolver::Factorize() {
       return false;
     }
     add_pivot(row, pos, value);
-    for (const ColEntry& e : cols_[basic_[pos]]) {
-      if (f.row_count[e.row] < 0) {
+    const int v = basic_[pos];
+    for (int k = col_start_[v]; k < col_start_[v + 1]; ++k) {
+      const int r = col_row_[k];
+      if (f.row_count[r] < 0) {
         continue;
       }
-      l_row_.push_back(e.row);
-      l_val_.push_back(e.coeff / value);
-      if (--f.row_count[e.row] == 1) {
-        f.stack.push_back(e.row);
+      l_row_.push_back(r);
+      l_val_.push_back(col_val_[k] / value);
+      if (--f.row_count[r] == 1) {
+        f.stack.push_back(r);
       }
     }
     end_pivot();
@@ -369,9 +406,11 @@ bool LpSolver::Factorize() {
     }
     f.dense.assign(static_cast<size_t>(k) * k, 0.0);
     for (int j = 0; j < k; ++j) {
-      for (const ColEntry& e : cols_[basic_[f.nucleus_pos[j]]]) {
-        if (f.row_count[e.row] >= 0) {
-          f.dense[static_cast<size_t>(f.index[e.row]) * k + j] = e.coeff;
+      const int v = basic_[f.nucleus_pos[j]];
+      for (int e = col_start_[v]; e < col_start_[v + 1]; ++e) {
+        const int r = col_row_[e];
+        if (f.row_count[r] >= 0) {
+          f.dense[static_cast<size_t>(f.index[r]) * k + j] = col_val_[e];
         }
       }
     }
@@ -424,6 +463,12 @@ bool LpSolver::Factorize() {
     }
   }
 
+  l_pivots_.clear();
+  for (int p = 0; p < m_; ++p) {
+    if (l_start_[p + 1] > l_start_[p]) {
+      l_pivots_.push_back(p);
+    }
+  }
   factor_valid_ = true;
   return true;
 }
@@ -443,7 +488,7 @@ bool LpSolver::RefactorizeOrReset() {
 }
 
 void LpSolver::Ftran(std::vector<double>& v) {
-  for (int p = 0; p < m_; ++p) {
+  for (const int p : l_pivots_) {
     const double a = v[piv_row_[p]];
     if (a == 0.0) {
       continue;
@@ -463,11 +508,11 @@ void LpSolver::Ftran(std::vector<double>& v) {
   v.swap(work_);
   for (size_t e = 0; e < eta_pos_.size(); ++e) {
     const int pos = eta_pos_[e];
+    if (v[pos] == 0.0) {
+      continue;  // this eta adds nothing
+    }
     const double a = v[pos] / eta_pivot_[e];
     v[pos] = a;
-    if (a == 0.0) {
-      continue;
-    }
     for (int k = eta_start_[e]; k < eta_start_[e + 1]; ++k) {
       v[eta_index_[k]] -= eta_value_[k] * a;
     }
@@ -485,16 +530,19 @@ void LpSolver::Btran(std::vector<double>& v) {
   }
   work_.resize(m_);
   for (int p = 0; p < m_; ++p) {
-    const double a = v[piv_pos_[p]] / u_diag_[p];
-    work_[piv_row_[p]] = a;
-    if (a == 0.0) {
+    const double vp = v[piv_pos_[p]];
+    if (vp == 0.0) {
+      work_[piv_row_[p]] = 0.0;  // nothing reaches this pivot
       continue;
     }
+    const double a = vp / u_diag_[p];
+    work_[piv_row_[p]] = a;
     for (int e = u_start_[p]; e < u_start_[p + 1]; ++e) {
       v[u_pos_[e]] -= u_val_[e] * a;
     }
   }
-  for (int p = m_ - 1; p >= 0; --p) {
+  for (auto it = l_pivots_.rbegin(); it != l_pivots_.rend(); ++it) {
+    const int p = *it;
     double a = work_[piv_row_[p]];
     for (int e = l_start_[p]; e < l_start_[p + 1]; ++e) {
       a -= l_val_[e] * work_[l_row_[e]];
@@ -507,13 +555,21 @@ void LpSolver::Btran(std::vector<double>& v) {
 void LpSolver::PushEta(int pos, std::span<const double> column) {
   eta_pos_.push_back(pos);
   eta_pivot_.push_back(column[pos]);
-  for (int i = 0; i < m_; ++i) {
-    if (i != pos && column[i] != 0.0) {
-      eta_index_.push_back(i);
-      eta_value_.push_back(column[i]);
-    }
+  // Branch-free compaction of the off-pivot nonzeros, ascending.
+  const size_t base = eta_start_.back();
+  if (eta_index_.size() < base + m_) {
+    eta_index_.resize(base + m_);
+    eta_value_.resize(base + m_);
   }
-  eta_start_.push_back(static_cast<int32_t>(eta_index_.size()));
+  int32_t* index = eta_index_.data() + base;
+  double* value = eta_value_.data() + base;
+  size_t count = 0;
+  for (int i = 0; i < m_; ++i) {
+    index[count] = i;
+    value[count] = column[i];
+    count += static_cast<size_t>((i != pos) & (column[i] != 0.0));
+  }
+  eta_start_.push_back(static_cast<int32_t>(base + count));
 }
 
 void LpSolver::RecomputeBasicValues() {
@@ -522,8 +578,8 @@ void LpSolver::RecomputeBasicValues() {
     if (status_[v] == Status::kBasic || x_[v] == 0.0) {
       continue;
     }
-    for (const ColEntry& e : cols_[v]) {
-      col_[e.row] -= e.coeff * x_[v];
+    for (int k = col_start_[v]; k < col_start_[v + 1]; ++k) {
+      col_[col_row_[k]] -= col_val_[k] * x_[v];
     }
   }
   Ftran(col_);
@@ -534,16 +590,16 @@ void LpSolver::RecomputeBasicValues() {
 
 double LpSolver::ColumnDot(int var, std::span<const double> row_vec) const {
   double sum = 0.0;
-  for (const ColEntry& e : cols_[var]) {
-    sum += e.coeff * row_vec[e.row];
+  for (int k = col_start_[var]; k < col_start_[var + 1]; ++k) {
+    sum += col_val_[k] * row_vec[col_row_[k]];
   }
   return sum;
 }
 
 void LpSolver::ComputeTableauColumn(int var, std::vector<double>& out) {
   out.assign(m_, 0.0);
-  for (const ColEntry& e : cols_[var]) {
-    out[e.row] = e.coeff;
+  for (int k = col_start_[var]; k < col_start_[var + 1]; ++k) {
+    out[col_row_[k]] = col_val_[k];
   }
   Ftran(out);
 }
@@ -877,6 +933,14 @@ bool LpSolver::PrepareDual() {
 LpSolver::DualOutcome LpSolver::DualIterate(int* iterations_left) {
   int cancel_poll = 0;
   alpha_.assign(total_, 0.0);
+  movable_.resize(total_);
+  candidates_.resize(total_);
+  live_rows_.resize(m_);
+  // can_move_[v]: v is nonbasic and not fixed, kept current across pivots.
+  can_move_.resize(total_);
+  for (int v = 0; v < total_; ++v) {
+    can_move_[v] = (status_[v] != Status::kBasic) & !(ub_[v] - lb_[v] <= 0.0);
+  }
   while (true) {
     if (options_.cancel != nullptr && (cancel_poll++ & kCancelPollMask) == 0 &&
         options_.cancel->Expired()) {
@@ -907,60 +971,79 @@ LpSolver::DualOutcome LpSolver::DualIterate(int* iterations_left) {
     const double sigma = to_upper ? -1.0 : 1.0;
 
     // Pivot row alpha = (e_row' B^-1) [A | I], accumulated over the rows of
-    // A where e_row' B^-1 is nonzero; only movable nonbasics are kept.
+    // A where e_row' B^-1 is nonzero.
     y_.assign(m_, 0.0);
     y_[row] = 1.0;
     Btran(y_);
-    std::fill(alpha_.begin(), alpha_.end(), 0.0);
+    int num_live = 0;
     for (int i = 0; i < m_; ++i) {
+      live_rows_[num_live] = i;
+      num_live += static_cast<int>(y_[i] != 0.0);
+    }
+    // Structural entries accumulate row by row; a live row's slack entry is
+    // its rho. Slack entries of the other rows are zero and never read.
+    std::fill(alpha_.begin(), alpha_.begin() + n_, 0.0);
+    for (int l = 0; l < num_live; ++l) {
+      const int i = live_rows_[l];
       const double rho = y_[i];
-      if (rho == 0.0) {
-        continue;
-      }
       for (int k = row_start_[i]; k < row_start_[i + 1]; ++k) {
         alpha_[row_var_[k]] += rho * row_coeff_[k];
       }
       alpha_[n_ + i] = rho;
     }
+    // The movable nonbasics this row touches, ascending: the only entries
+    // the ratio test and the reduced-cost update below can act on. These
+    // compactions (and the candidates' below) are branch-free.
+    int num_movable = 0;
+    for (int v = 0; v < n_; ++v) {
+      movable_[num_movable] = v;
+      num_movable += static_cast<int>((alpha_[v] != 0.0) & can_move_[v]);
+    }
+    for (int l = 0; l < num_live; ++l) {
+      const int v = n_ + live_rows_[l];
+      movable_[num_movable] = v;
+      num_movable += static_cast<int>(can_move_[v]);
+    }
+    const std::span<const int32_t> movable(movable_.data(), num_movable);
     // Harris ratio test. An entering candidate moves in direction dir (+1 up
     // from its lower bound, -1 down from its upper) and must push the leaving
     // variable towards its bound, i.e. alpha * dir * sigma < 0; its ratio is
     // how far its reduced cost may move before changing sign, per unit of
     // dual step. Pass 1 collects the candidates and the largest dual step
     // allowed with every reduced cost relaxed by cost_tol.
-    candidates_.clear();
-    double theta_max = kInfinity;
-    for (int v = 0; v < total_; ++v) {
-      if (status_[v] == Status::kBasic || ub_[v] - lb_[v] <= 0.0) {
-        alpha_[v] = 0.0;
-        continue;
+    auto direction = [&](int v, double a) {
+      switch (status_[v]) {
+        case Status::kAtLower:
+          return 1.0;
+        case Status::kAtUpper:
+          return -1.0;
+        default:
+          return a * sigma < 0.0 ? 1.0 : -1.0;  // free variables
       }
+    };
+    int num_candidates = 0;
+    for (const int v : movable) {
       const double a = alpha_[v];
-      if (std::abs(a) <= options_.pivot_tol) {
-        continue;
-      }
-      double dir = a * sigma < 0.0 ? 1.0 : -1.0;  // free variables
-      if (status_[v] == Status::kAtLower) {
-        dir = 1.0;
-      } else if (status_[v] == Status::kAtUpper) {
-        dir = -1.0;
-      }
-      if (a * dir * sigma >= 0.0) {
-        continue;
-      }
-      const double ratio = std::max(0.0, -dir * d_[v]) / std::abs(a);
-      theta_max = std::min(theta_max, ratio + options_.cost_tol / std::abs(a));
-      candidates_.push_back({v, ratio});
+      candidates_[num_candidates].var = v;
+      num_candidates += static_cast<int>((std::abs(a) > options_.pivot_tol) &
+                                         (a * direction(v, a) * sigma < 0.0));
     }
-    if (candidates_.empty()) {
+    if (num_candidates == 0) {
       // No nonbasic can move the leaving variable towards its bound: the row
       // proves the bounds infeasible.
       return DualOutcome::kInfeasible;
     }
+    const std::span<Candidate> candidates(candidates_.data(), num_candidates);
+    double theta_max = kInfinity;
+    for (Candidate& c : candidates) {
+      const double a = alpha_[c.var];
+      c.ratio = std::max(0.0, -direction(c.var, a) * d_[c.var]) / std::abs(a);
+      theta_max = std::min(theta_max, c.ratio + options_.cost_tol / std::abs(a));
+    }
     // Pass 2: among the candidates within that step, the largest pivot.
     int enter = -1;
     double best_mag = 0.0;
-    for (const Candidate& c : candidates_) {
+    for (const Candidate& c : candidates) {
       if (c.ratio <= theta_max && std::abs(alpha_[c.var]) > best_mag) {
         best_mag = std::abs(alpha_[c.var]);
         enter = c.var;
@@ -982,7 +1065,7 @@ LpSolver::DualOutcome LpSolver::DualIterate(int* iterations_left) {
     if (theta * sigma < 0.0) {
       theta = 0.0;
     }
-    for (int v = 0; v < total_; ++v) {
+    for (const int v : movable) {
       d_[v] -= theta * alpha_[v];
     }
     d_[enter] = 0.0;
@@ -1000,6 +1083,8 @@ LpSolver::DualOutcome LpSolver::DualIterate(int* iterations_left) {
     status_[leaving] = to_upper ? Status::kAtUpper : Status::kAtLower;
     basic_[row] = enter;
     status_[enter] = Status::kBasic;
+    can_move_[enter] = 0;
+    can_move_[leaving] = !(ub_[leaving] - lb_[leaving] <= 0.0);
     PushEta(row, col_);
     ++stats_.dual_pivots;
 
@@ -1128,12 +1213,16 @@ LpResult LpSolver::SolveImpl(std::span<const double> lower,
 
 LpBasis LpSolver::BasisSnapshot() const {
   LpBasis snapshot;
-  snapshot.basic.assign(basic_.begin(), basic_.end());
-  snapshot.status.resize(total_);
-  for (int v = 0; v < total_; ++v) {
-    snapshot.status[v] = static_cast<uint8_t>(status_[v]);
-  }
+  BasisSnapshot(snapshot);
   return snapshot;
+}
+
+void LpSolver::BasisSnapshot(LpBasis& out) const {
+  out.basic.assign(basic_.begin(), basic_.end());
+  out.status.resize(total_);
+  for (int v = 0; v < total_; ++v) {
+    out.status[v] = static_cast<uint8_t>(status_[v]);
+  }
 }
 
 }  // namespace tetrisched

@@ -95,6 +95,8 @@ class LpSolver {
 
   // Snapshot of the final basis of the last Solve (valid after any Solve).
   LpBasis BasisSnapshot() const;
+  // Same, into caller-owned storage (reuses its capacity).
+  void BasisSnapshot(LpBasis& out) const;
 
  private:
   enum class Status : uint8_t {
@@ -102,11 +104,6 @@ class LpSolver {
     kAtLower,
     kAtUpper,
     kFreeZero,  // nonbasic free variable pinned at 0
-  };
-
-  struct ColEntry {
-    int32_t row;
-    double coeff;
   };
 
   // How a dual simplex run ended; kTrouble hands over to the primal path.
@@ -161,8 +158,11 @@ class LpSolver {
   int m_ = 0;       // rows / slacks
   int total_ = 0;   // n_ + m_
 
-  // Sparse columns of [A | I], and the rows of A (CSR) for pivot rows.
-  std::vector<std::vector<ColEntry>> cols_;
+  // Columns of [A | I] (CSC): column v holds rows col_row_[k] (ascending)
+  // and coefficients col_val_[k] for k in [col_start_[v], col_start_[v + 1]).
+  // The rows of A (CSR) serve the dual simplex's pivot rows.
+  std::vector<int32_t> col_start_, col_row_;
+  std::vector<double> col_val_;
   std::vector<int32_t> row_start_, row_var_;
   std::vector<double> row_coeff_;
   std::vector<double> rhs_b_;
@@ -190,9 +190,13 @@ class LpSolver {
   std::vector<double> l_val_;
   std::vector<int32_t> u_start_, u_pos_;
   std::vector<double> u_val_;
+  // Pivots whose L column is nonempty, ascending; the others leave both
+  // triangular L passes untouched.
+  std::vector<int32_t> l_pivots_;
   // Eta file: eta e replaces basis position eta_pos_[e] with a column whose
   // pivot entry is eta_pivot_[e] and whose other nonzeros are
-  // [eta_start_[e], eta_start_[e + 1]) of eta_index_/eta_value_.
+  // [eta_start_[e], eta_start_[e + 1]) of eta_index_/eta_value_. The two
+  // entry arrays only grow; eta_start_.back() is their used length.
   std::vector<int32_t> eta_pos_, eta_start_, eta_index_;
   std::vector<double> eta_pivot_, eta_value_;
 
@@ -207,7 +211,13 @@ class LpSolver {
     int32_t var;
     double ratio;  // dual step at which its reduced cost changes sign
   };
-  std::vector<Candidate> candidates_;  // dual ratio test
+  // Dual simplex scratch, all in ascending index order: the rows where
+  // e_row' B^-1 is nonzero, the movable nonbasics with a nonzero pivot-row
+  // entry, and the ratio test's candidates among them.
+  std::vector<int32_t> live_rows_;
+  std::vector<int32_t> movable_;
+  std::vector<Candidate> candidates_;
+  std::vector<uint8_t> can_move_;  // var -> nonbasic and not fixed
   std::vector<int32_t> is_basic_;  // warm-start validation
 
   // Factorization scratch: a row-wise copy of B, active entry counts per

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
+#include <vector>
 
 #include "src/common/budget.h"
 #include "src/common/bytes.h"
@@ -319,6 +321,41 @@ TEST(CertifyTest, RejectsCorruptedIncumbent) {
   bogus_gap.status = MilpStatus::kOptimal;
   bogus_gap.best_bound = result.objective - 100.0;
   EXPECT_FALSE(CertifyPlan(model, bogus_gap, options).ok);
+}
+
+TEST(CertifyTest, RejectCountsUnderTheFirstFailedCheck) {
+  MilpModel model = AdversarialModel(30, 10, 31);
+  MilpOptions options;
+  options.num_threads = 1;
+  MilpResult result = MilpSolver(model, options).Solve();
+  ASSERT_TRUE(result.HasSolution());
+  auto series = [](const std::string& reason) {
+    return GlobalMetrics().GetCounter(
+        "tetrisched_certifier_rejects_total{reason=\"" + reason + "\"}");
+  };
+  const std::vector<std::string> reasons = {
+      "missing_incumbent", "non_finite", "bound", "integrality",
+      "row", "objective", "bound_below_incumbent", "gap"};
+  std::vector<int64_t> before;
+  for (const std::string& reason : reasons) {
+    before.push_back(series(reason)->value());
+  }
+  Counter* total =
+      GlobalMetrics().GetCounter("tetrisched_certifier_rejects_total");
+  const int64_t total_before = total->value();
+
+  // A forged bound below the incumbent under a proven-optimal claim: the
+  // gap audit fails too, but the bound check fails first.
+  MilpResult forged = result;
+  forged.status = MilpStatus::kOptimal;
+  forged.best_bound = result.objective - 100.0;
+  EXPECT_FALSE(CertifyPlan(model, forged, options).ok);
+
+  EXPECT_EQ(total->value(), total_before + 1);
+  for (size_t i = 0; i < reasons.size(); ++i) {
+    const int64_t bumped = reasons[i] == "bound_below_incumbent" ? 1 : 0;
+    EXPECT_EQ(series(reasons[i])->value(), before[i] + bumped) << reasons[i];
+  }
 }
 
 // ---------------------------------------------------------------------------

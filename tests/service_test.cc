@@ -16,8 +16,11 @@
 #include "src/client/client.h"
 #include "src/net/socket.h"
 #include "src/persist/journal.h"
+#include "src/obs/provenance.h"
 #include "src/service/daemon.h"
+#include "src/service/jobspec.h"
 #include "src/service/signals.h"
+#include "src/sim/simulator.h"
 
 namespace tetrisched {
 namespace {
@@ -701,6 +704,60 @@ TEST(ServiceEndToEndTest, CycleInstrumentsExported) {
     EXPECT_NE(section->Find(instrument.name), nullptr) << instrument.name;
   }
   harness.Stop();
+}
+
+// Both front ends describe an arrival in one vocabulary: the SLO class as
+// label and the gang size as value, with {k, deadline} as detail.
+TEST(ServiceProvenanceTest, ArrivalMatchesTheSimulator) {
+  JsonObj spec;
+  spec.Field("type", "unconstrained");
+  spec.Field("k", static_cast<int64_t>(2));
+  spec.Field("runtime", static_cast<int64_t>(4));
+  spec.Field("deadline_in", static_cast<int64_t>(400));
+  auto arrival_of = [](JobId job) {
+    for (const ProvenanceRecord& record :
+         ProvenanceRecorder::Global().Snapshot()) {
+      if (record.kind == ProvKind::kArrival && record.job == job) {
+        return record;
+      }
+    }
+    ADD_FAILURE() << "no arrival record for job " << job;
+    return ProvenanceRecord{};
+  };
+
+  DaemonHarness harness(FastOptions());
+  ASSERT_TRUE(harness.Start());
+  ServiceClient client = harness.Connect("provenance");
+  ServiceReply reply = client.SubmitSpec(spec);
+  ASSERT_TRUE(reply.ok) << reply.error;
+  const JobId daemon_job = reply.body.IntOr("job", -1);
+  ASSERT_TRUE(harness.WaitFor(
+      [](const DaemonStatus& status) { return status.completed >= 1; }));
+  harness.Stop();
+  const ProvenanceRecord from_daemon = arrival_of(daemon_job);
+
+  JsonValue parsed;
+  ASSERT_TRUE(JsonParse(spec.str(), &parsed));
+  Job job;
+  std::string error;
+  ASSERT_TRUE(JobSpecFromJson(parsed, 0, &job, &error)) << error;
+  job.id = 1;
+  job.slo_class = BaseSloClass(job);
+  const Cluster cluster = MakeUniformCluster(2, 4, 1);
+  TetriScheduler scheduler(cluster, TetriSchedConfig::Full());
+  SimConfig config;
+  config.provenance = SimConfig::ProvenanceMode::kOn;
+  Simulator(cluster, scheduler, {job}, config).Run();
+  const ProvenanceRecord from_sim = arrival_of(job.id);
+
+  EXPECT_EQ(from_daemon.label, ToString(SloClass::kSloUnreserved));
+  EXPECT_EQ(from_daemon.label, from_sim.label);
+  EXPECT_EQ(from_daemon.value, 2.0);
+  EXPECT_EQ(from_daemon.value, from_sim.value);
+  JsonValue detail;
+  ASSERT_TRUE(JsonParse(from_daemon.detail, &detail));
+  EXPECT_EQ(detail.IntOr("k", -1), 2);
+  EXPECT_GT(detail.IntOr("deadline", -1), 0);
 }
 
 // Replays the serving loop over a list of (start lateness, duration) pairs:
