@@ -32,7 +32,7 @@ void Show(const char* name, const char* comment, const Cluster& cluster,
   options.rel_gap = 0.0;
   MilpResult result = MilpSolver(compiled.model(), options).Solve();
   std::printf("Solve: objective %.2f, status %s\n", result.objective,
-              result.status == MilpStatus::kOptimal ? "optimal" : "feasible");
+              ToString(result.status));
   for (const StrlAllocation& alloc :
        compiled.ExtractAllocations(result.values)) {
     std::printf("  leaf tag %lld: start=%lld dur=%lld nodes={",

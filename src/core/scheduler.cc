@@ -426,7 +426,7 @@ TetriScheduler::Decision TetriScheduler::OnCycle(
         1e3 * Seconds(fallback_start, Clock::now()));
     return placements;
   };
-  if (decision.stats.solve_status == SolveStatus::kNoIncumbent) {
+  if (!HasIncumbent(decision.stats.solve_status)) {
     decision.start_now = first_fit();
     decision.preempt.clear();
     decision.stats.used_fallback = true;
@@ -502,7 +502,7 @@ TetriScheduler::Decision TetriScheduler::OnCycle(
     // overload from the wall clock (the cycle ends on time, on the greedy
     // rung), so it counts toward the shrink streak too.
     decision.stats.solver_cutoff =
-        decision.stats.solve_status == SolveStatus::kNoIncumbent &&
+        !HasIncumbent(decision.stats.solve_status) &&
         decision.stats.certifier_rejects == 0;
     const double solve_share =
         std::max(0.0, 1.0 - budget.strl_gen_share - budget.compile_share -
@@ -657,12 +657,12 @@ TetriScheduler::Decision TetriScheduler::GlobalCycle(
   decision.stats.milp_nodes = result.nodes;
   decision.stats.milp_components = result.components;
   decision.stats.decompose_ms = result.decompose_ms;
-  decision.stats.solve_status = result.solve_status;
+  decision.stats.solve_status = result.status;
   if (recorder.enabled()) {
     ProvenanceRecord record;
     record.kind = ProvKind::kSolve;
     record.time = now;
-    record.label = ToString(result.solve_status);
+    record.label = ToString(result.status);
     record.value = result.objective;
     record.detail = JsonObj()
                         .Field("vars", compiled.model().num_vars())
@@ -680,7 +680,7 @@ TetriScheduler::Decision TetriScheduler::GlobalCycle(
     int64_t suppressed = 0;
     if (no_schedule_warn_.ShouldLog(0, cycles_, &suppressed)) {
       TETRI_LOG(kWarning) << "MILP produced no schedule ("
-                          << ToString(result.solve_status) << ")"
+                          << ToString(result.status) << ")"
                           << LogRateLimiter::SuppressedSuffix(suppressed);
     }
     return decision;
@@ -689,8 +689,7 @@ TetriScheduler::Decision TetriScheduler::GlobalCycle(
   // Independent plan certifier (certify.h): re-check the incumbent against
   // the model before committing anything derived from it. A reject demotes
   // the cycle to kNoIncumbent, which sends OnCycle down the greedy rung.
-  if (config_.certify_plans &&
-      result.solve_status != SolveStatus::kNoIncumbent) {
+  if (config_.certify_plans) {
     CertifyReport report = [&] {
       TETRI_SPAN("scheduler.certify");
       return CertifyPlan(compiled.model(), result, milp_options);
@@ -923,7 +922,7 @@ TetriScheduler::Decision TetriScheduler::GreedyCycle(
         std::max(decision.stats.milp_components, result.components);
     decision.stats.decompose_ms += result.decompose_ms;
     decision.stats.solve_status =
-        WorstStatus(decision.stats.solve_status, result.solve_status);
+        WorstStatus(decision.stats.solve_status, result.status);
     if (!result.HasSolution() || result.objective <= 0.0) {
       recorder.Record(ProvKind::kRejected, now, job->id, "no-feasible-option");
       continue;  // nothing schedulable for this job within the window

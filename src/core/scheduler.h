@@ -17,7 +17,7 @@
 //   * plan_ahead==quantum -> TetriSched-NP: now-or-never (alsched-like)
 //
 // Graceful degradation (DESIGN.md §9): when a cycle's MILP ends with no
-// usable incumbent (SolveStatus::kNoIncumbent) or the resulting plan fails
+// usable incumbent (!HasIncumbent(status)) or the resulting plan fails
 // pre-commit validation, the cycle is replanned by a heterogeneity-aware
 // greedy first-fit pass over the same availability grid; if even that plan
 // fails validation, the cycle schedules nothing and replans next period.

@@ -8,6 +8,11 @@
 namespace tetrisched {
 namespace {
 
+constexpr double kFeasTol = 1e-5;  // per-row / per-bound violation tolerance
+constexpr double kIntTol = 1e-5;   // integrality tolerance
+constexpr double kObjTol = 1e-6;   // relative objective-recomputation tolerance
+constexpr double kGapSlop = 1e-6;  // slack added when auditing a claimed gap
+
 Counter* CertifierRejects() {
   static Counter* counter =
       GlobalMetrics().GetCounter("tetrisched_certifier_rejects_total");
@@ -34,7 +39,7 @@ std::string Describe(const char* what, int index, double magnitude) {
 }  // namespace
 
 CertifyReport CertifyPlan(const MilpModel& model, const MilpResult& result,
-                          const MilpOptions& options, CertifyOptions certify) {
+                          const MilpOptions& options) {
   CertifyReport report;
   const char* reason = nullptr;  // the first failed check's label
   auto reject = [&](const char* label, std::string failure) {
@@ -61,15 +66,15 @@ CertifyReport CertifyPlan(const MilpModel& model, const MilpResult& result,
       reject("non_finite", Describe("non-finite value", v, 0.0));
       break;
     }
-    if (x < model.lower_bound(v) - certify.feas_tol ||
-        x > model.upper_bound(v) + certify.feas_tol) {
+    if (x < model.lower_bound(v) - kFeasTol ||
+        x > model.upper_bound(v) + kFeasTol) {
       const double viol = std::max(model.lower_bound(v) - x,
                                    x - model.upper_bound(v));
       reject("bound", Describe("variable bound violated", v, viol));
       break;
     }
     if (model.IsIntegerLike(v) &&
-        std::abs(x - std::round(x)) > certify.int_tol) {
+        std::abs(x - std::round(x)) > kIntTol) {
       reject("integrality", Describe("integrality violated", v,
                                      std::abs(x - std::round(x))));
       break;
@@ -83,7 +88,7 @@ CertifyReport CertifyPlan(const MilpModel& model, const MilpResult& result,
       lhs += term.coeff * result.values[term.var];
     }
     const double rhs = model.constraint_rhs(c);
-    const double tol = certify.feas_tol * std::max(1.0, std::abs(rhs));
+    const double tol = kFeasTol * std::max(1.0, std::abs(rhs));
     double viol = 0.0;
     switch (model.constraint_sense(c)) {
       case ConstraintSense::kLessEqual:
@@ -106,7 +111,7 @@ CertifyReport CertifyPlan(const MilpModel& model, const MilpResult& result,
   const double recomputed = model.ObjectiveValue(result.values);
   report.objective_error = std::abs(recomputed - result.objective);
   if (report.objective_error >
-      certify.obj_tol * std::max(1.0, std::abs(recomputed))) {
+      kObjTol * std::max(1.0, std::abs(recomputed))) {
     reject("objective",
            Describe("objective mismatch", -1, report.objective_error));
   }
@@ -116,24 +121,24 @@ CertifyReport CertifyPlan(const MilpModel& model, const MilpResult& result,
   // inconsistent no matter what status the solve claims.
   if (std::isfinite(result.best_bound) &&
       result.best_bound <
-          recomputed - (options.abs_gap + certify.gap_slop)) {
+          recomputed - (options.abs_gap + kGapSlop)) {
     reject("bound_below_incumbent", Describe("bound below incumbent", -1,
                                              recomputed - result.best_bound));
   }
 
-  // Gap audit: only when the solve *claims* a proven gap. kFeasible makes no
-  // gap claim, and an infinite bound (e.g. a root LP cut off mid-solve)
-  // honestly claims nothing.
-  if ((result.status == MilpStatus::kOptimal ||
-       result.status == MilpStatus::kGapLimit) &&
+  // Gap audit: only when the solve *claims* a proven gap. kTimeLimit and
+  // kStall make no gap claim, and an infinite bound (e.g. a root LP cut off
+  // mid-solve) honestly claims nothing.
+  if ((result.status == SolveStatus::kOptimal ||
+       result.status == SolveStatus::kGapMet) &&
       std::isfinite(result.best_bound)) {
     const double gap = result.best_bound - recomputed;
     const double allowed =
-        result.status == MilpStatus::kOptimal
-            ? options.abs_gap + certify.gap_slop
+        result.status == SolveStatus::kOptimal
+            ? options.abs_gap + kGapSlop
             : std::max(options.abs_gap,
                        options.rel_gap * std::max(std::abs(recomputed), 1e-9)) +
-                  certify.gap_slop;
+                  kGapSlop;
     if (gap > allowed) {
       reject("gap", Describe("claimed gap not covered by bound", -1,
                              gap - allowed));

@@ -19,13 +19,6 @@
 
 namespace tetrisched {
 
-struct CertifyOptions {
-  double feas_tol = 1e-5;  // per-row / per-bound violation tolerance
-  double int_tol = 1e-5;   // integrality tolerance
-  double obj_tol = 1e-6;   // relative objective-recomputation tolerance
-  double gap_slop = 1e-6;  // slack added when auditing a claimed gap
-};
-
 struct CertifyReport {
   bool ok = false;
   std::string failure;      // first failed check; empty when ok
@@ -40,14 +33,15 @@ struct CertifyReport {
 //   * every variable sits within its bounds, integer-likes at integers,
 //   * every constraint row holds within tolerance,
 //   * the claimed objective matches a recomputation from the values,
-//   * when the status claims a proven gap (kOptimal / kGapLimit) and the
+//   * when the status claims a proven gap (kOptimal / kGapMet) and the
 //     bound is finite, the bound actually covers the claim under
 //     `options.rel_gap` / `options.abs_gap`.
-// A result without a solution (no incumbent) fails certification; callers
-// gate on HasSolution() first.
+// Rows and bounds are checked to 1e-5, integrality to 1e-5, the objective
+// to a relative 1e-6, and a claimed gap with 1e-6 of slack. A result
+// without a solution (no incumbent) fails certification; callers gate on
+// HasSolution() first.
 CertifyReport CertifyPlan(const MilpModel& model, const MilpResult& result,
-                          const MilpOptions& options,
-                          CertifyOptions certify = {});
+                          const MilpOptions& options);
 
 }  // namespace tetrisched
 

@@ -45,34 +45,16 @@ void Union(std::vector<int32_t>& parent, std::vector<int32_t>& rank, int32_t a,
   }
 }
 
-// Severity rank for the mathematical status merge: the worst claim wins,
-// with global conditions (infeasible/unbounded/no-solution) on top.
-int StatusRank(MilpStatus status) {
-  switch (status) {
-    case MilpStatus::kOptimal:
-      return 0;
-    case MilpStatus::kGapLimit:
-      return 1;
-    case MilpStatus::kFeasible:
-      return 2;
-    case MilpStatus::kNoSolution:
-      return 3;
-    case MilpStatus::kUnbounded:
-      return 4;
-    case MilpStatus::kInfeasible:
-      return 5;
-  }
-  return 5;
-}
-
 // One extracted component: the sub-model, its variable map back into the
-// original space, its sliced warm start, its budget share, and its result.
+// original space, its sliced warm start, its budget share, and what its
+// search found.
 struct Component {
   MilpModel model;
   std::vector<VarId> vars;  // component variable id -> original variable id
   std::vector<double> warm;
   MilpOptions options;
-  MilpResult result;
+  SearchFacts facts;
+  double search_ms = 0.0;
   double weight = 0.0;  // deadline-pool weight (variable count)
 };
 
@@ -131,36 +113,16 @@ Decomposition DetectComponents(const MilpModel& model) {
   return decomp;
 }
 
-MilpStatus MergeMilpStatus(MilpStatus a, MilpStatus b) {
-  return StatusRank(a) >= StatusRank(b) ? a : b;
-}
-
-SolveStatus MergeSolveStatus(SolveStatus a, SolveStatus b) {
-  if (a == SolveStatus::kNoIncumbent && b == SolveStatus::kNoIncumbent) {
-    return SolveStatus::kNoIncumbent;
-  }
-  // A failed component contributes only its zero sub-plan; the merged plan
-  // is partial, which operationally is a limits-hit solve, not a failed one.
-  if (a == SolveStatus::kNoIncumbent) {
-    a = SolveStatus::kTimeLimit;
-  }
-  if (b == SolveStatus::kNoIncumbent) {
-    b = SolveStatus::kTimeLimit;
-  }
-  return WorstStatus(a, b);
-}
-
-MilpResult SolveDecomposed(const MilpModel& model, const Decomposition& decomp,
-                           const MilpOptions& options,
-                           std::span<const double> warm_start,
-                           double detect_ms) {
-  const auto start_time = Clock::now();
+SearchFacts SearchComponents(const MilpModel& model,
+                             const Decomposition& decomp,
+                             const MilpOptions& options,
+                             std::span<const double> warm_start,
+                             const CancelToken& deadline, double detect_ms,
+                             MilpResult& result) {
   const int n = model.num_vars();
   const int m = model.num_constraints();
   const int k = decomp.num_components;
-  const int num_workers =
-      std::max(1, options.num_threads > 0 ? options.num_threads
-                                          : ThreadPool::HardwareThreads());
+  const int num_workers = WorkerCount(options);
 
   // ---- Extraction: one sub-model per component, original variable order
   // preserved, so local ids are a monotone remap of the original ids. ------
@@ -206,8 +168,8 @@ MilpResult SolveDecomposed(const MilpModel& model, const Decomposition& decomp,
   }
 
   // Warm-start slicing: the cycle's full-model hint projects onto each
-  // component independently (each component solver re-verifies feasibility
-  // of its slice and silently drops an infeasible one, as before).
+  // component independently (each component search re-verifies feasibility
+  // of its slice and silently drops an infeasible one).
   const bool have_warm = static_cast<int>(warm_start.size()) == n;
 
   // Budget apportionment by variable share. Node/gap/stall budgets are
@@ -225,15 +187,12 @@ MilpResult SolveDecomposed(const MilpModel& model, const Decomposition& decomp,
     Component& component = components[comp];
     const double share =
         static_cast<double>(decomp.component_vars[comp]) / total_vars;
-    MilpOptions inner = options;
-    inner.enable_decomposition = false;  // components are connected
-    // Presolve already ran to fixpoint on the full model; its reductions are
-    // row-local, so re-running it per component would find nothing.
-    inner.enable_presolve = false;
+    // The search reads only the gap, node, stall, thread, diving and LP
+    // settings; wall-clock comes from the pool at component start, capped by
+    // the solve's deadline.
+    MilpOptions& inner = component.options;
+    inner = options;
     inner.num_threads = inner_threads;
-    // time_limit_seconds is acquired from the pool at component start; the
-    // parent's composed CancelToken (inner.cancel, when set) stays the hard
-    // cap either way.
     inner.max_nodes =
         std::max(64, static_cast<int>(options.max_nodes * share));
     inner.abs_gap = std::max(1e-9, options.abs_gap * share);
@@ -241,7 +200,6 @@ MilpResult SolveDecomposed(const MilpModel& model, const Decomposition& decomp,
       inner.stall_node_limit =
           std::max(32, static_cast<int>(options.stall_node_limit * share));
     }
-    component.options = inner;
     component.weight = decomp.component_vars[comp];
     if (have_warm) {
       component.warm.resize(component.vars.size());
@@ -264,12 +222,19 @@ MilpResult SolveDecomposed(const MilpModel& model, const Decomposition& decomp,
   // remaining wall-clock).
   DeadlinePool time_pool(options.time_limit_seconds, total_vars);
   const double floor_seconds = std::min(options.time_limit_seconds, 0.005);
-  auto solve_component = [&time_pool, floor_seconds](Component& component) {
+  auto solve_component = [&time_pool, &deadline,
+                          floor_seconds](Component& component) {
     TETRI_SPAN("solver.component");
-    component.options.time_limit_seconds =
-        time_pool.AcquireSeconds(component.weight, floor_seconds);
-    component.result = MilpSolver(component.model, component.options)
-                           .Solve(component.warm);
+    const auto search_start = Clock::now();
+    CancelToken slice;
+    slice.ArmAfterSeconds(
+        time_pool.AcquireSeconds(component.weight, floor_seconds));
+    if (deadline.deadline_nanos() < slice.deadline_nanos()) {
+      slice.ArmAtNanos(deadline.deadline_nanos());
+    }
+    component.facts =
+        SearchTree(component.model, component.options, component.warm, slice);
+    component.search_ms = MillisSince(search_start);
     time_pool.Release(component.weight);
   };
   const int pool_threads = std::min(num_workers, k);
@@ -294,42 +259,16 @@ MilpResult SolveDecomposed(const MilpModel& model, const Decomposition& decomp,
     pool.Wait();
   }
 
-  // ---- Stitching. --------------------------------------------------------
-  MilpResult merged;
-  merged.threads_used = num_workers;
-  merged.components = k;
-  merged.decompose_ms = detect_ms + extract_ms;
-  for (const Component& component : components) {
-    merged.nodes += component.result.nodes;
-    merged.lp_iterations += component.result.lp_iterations;
-    merged.max_component_ms = std::max(
-        merged.max_component_ms, component.result.solve_seconds * 1e3);
-  }
-
-  MilpStatus status = MilpStatus::kOptimal;
-  for (const Component& component : components) {
-    status = MergeMilpStatus(status, component.result.status);
-  }
-  merged.status = status;
-  if (status == MilpStatus::kInfeasible || status == MilpStatus::kUnbounded ||
-      status == MilpStatus::kNoSolution) {
-    // No full-model assignment can be claimed: a component proved the model
-    // empty/unbounded, or ran out of budget with no vector at all.
-    merged.solve_status = SolveStatus::kNoIncumbent;
-    merged.solve_seconds =
-        std::chrono::duration<double>(Clock::now() - start_time).count();
-    return merged;
-  }
-
-  // Every component holds a feasible sub-assignment: stitch them, then fill
-  // the free variables (no constraints) at their objective-maximizing bound.
+  // ---- Stitching: a sum of facts. ---------------------------------------
+  result.components = k;
+  result.decompose_ms = detect_ms + extract_ms;
+  SearchFacts stitched;
+  stitched.held = true;
+  // Free variables (no constraints) sit at their objective-maximizing bound;
+  // an infinite one is an improving ray.
   std::vector<double> values(n, 0.0);
-  for (const Component& component : components) {
-    for (size_t i = 0; i < component.vars.size(); ++i) {
-      values[component.vars[i]] = component.result.values[i];
-    }
-  }
   double free_objective = 0.0;
+  bool free_ray = false;
   for (int v = 0; v < n; ++v) {
     if (decomp.var_component[v] >= 0) {
       continue;
@@ -344,12 +283,8 @@ MilpResult SolveDecomposed(const MilpModel& model, const Decomposition& decomp,
       value = std::clamp(0.0, model.lower_bound(v), model.upper_bound(v));
     }
     if (std::isinf(value)) {
-      merged.status = MilpStatus::kUnbounded;
-      merged.solve_status = SolveStatus::kNoIncumbent;
-      merged.values.clear();
-      merged.solve_seconds =
-          std::chrono::duration<double>(Clock::now() - start_time).count();
-      return merged;
+      free_ray = true;
+      continue;
     }
     if (model.IsIntegerLike(v)) {
       value = coeff > 0.0 ? std::floor(value) : std::ceil(value);
@@ -357,22 +292,40 @@ MilpResult SolveDecomposed(const MilpModel& model, const Decomposition& decomp,
     values[v] = value;
     free_objective += coeff * value;
   }
-
-  merged.values = std::move(values);
-  merged.objective = model.ObjectiveValue(merged.values);
-  merged.best_bound = free_objective;
+  stitched.bound = free_ray ? kInfinity : free_objective;
   for (const Component& component : components) {
-    merged.best_bound += component.result.best_bound;
+    const SearchFacts& facts = component.facts;
+    stitched.bound += facts.bound;
+    stitched.held = stitched.held && facts.held;
+    stitched.found = stitched.found || facts.found;
+    stitched.infeasible = stitched.infeasible || facts.infeasible;
+    stitched.unbounded = stitched.unbounded || facts.unbounded;
+    stitched.stalled = stitched.stalled || facts.stalled;
+    stitched.nodes += facts.nodes;
+    stitched.lp_iterations += facts.lp_iterations;
+    result.max_component_ms =
+        std::max(result.max_component_ms, component.search_ms);
   }
-  SolveStatus solve_status = components[0].result.solve_status;
-  for (int comp = 1; comp < k; ++comp) {
-    solve_status =
-        MergeSolveStatus(solve_status, components[comp].result.solve_status);
+  if (!stitched.held || stitched.infeasible || stitched.unbounded) {
+    // No full-model assignment: a component proved the model empty or
+    // unbounded, or ran out of budget holding nothing.
+    stitched.held = false;
+    return stitched;
   }
-  merged.solve_status = solve_status;
-  merged.solve_seconds =
-      std::chrono::duration<double>(Clock::now() - start_time).count();
-  return merged;
+  if (free_ray) {
+    // Every component holds a feasible assignment, so the ray is real.
+    stitched.held = false;
+    stitched.unbounded = true;
+    return stitched;
+  }
+  for (const Component& component : components) {
+    for (size_t i = 0; i < component.vars.size(); ++i) {
+      values[component.vars[i]] = component.facts.values[i];
+    }
+  }
+  stitched.values = std::move(values);
+  stitched.objective = model.ObjectiveValue(stitched.values);
+  return stitched;
 }
 
 }  // namespace tetrisched

@@ -17,10 +17,12 @@
 //      no longer touch).
 //   2. Sub-model extraction with index remapping (original variable order is
 //      preserved inside each component, so extraction is deterministic).
-//   3. Independent MilpSolver runs per component — global time/node/stall
-//      budgets and the absolute gap are apportioned by variable share, the
-//      warm-start vector is sliced per component — followed by stitching the
-//      incumbents, bounds, statuses, and counters back into one MilpResult.
+//   3. One branch-and-bound search per component (SearchTree) — global
+//      node/stall budgets and the absolute gap are apportioned by variable
+//      share, wall-clock by a DeadlinePool, the warm-start vector is sliced
+//      per component — followed by stitching the incumbents, bounds and
+//      counters into facts about the whole model. The status is derived
+//      from those facts afterwards, once, by MilpSolver::Solve.
 //
 // MilpSolver::Solve consults this layer when MilpOptions::enable_decomposition
 // is set (the default): single-component models bypass it entirely and are
@@ -36,7 +38,7 @@
 
 #include "src/solver/milp.h"
 #include "src/solver/model.h"
-#include "src/solver/solve_status.h"
+#include "src/solver/search.h"
 
 namespace tetrisched {
 
@@ -65,42 +67,30 @@ struct Decomposition {
     return largest;
   }
 
-  // True when the model genuinely splits and SolveDecomposed applies.
+  // True when the model genuinely splits and SearchComponents applies.
   bool Splits() const { return !bypass && num_components >= 2; }
 };
 
 // Builds the incidence-graph components of `model`. O(num_vars + nonzeros);
-// no sub-models are built (extraction happens inside SolveDecomposed only
+// no sub-models are built (extraction happens inside SearchComponents only
 // when the model actually splits).
 Decomposition DetectComponents(const MilpModel& model);
 
-// Conservative cross-component merge of the mathematical search status:
-// infeasibility of any component makes the whole model infeasible and
-// dominates; unboundedness is likewise global; a component that found no
-// assignment at all (kNoSolution) poisons the stitched vector; otherwise the
-// weakest optimality claim wins (all optimal -> optimal, else all within the
-// gap -> gap limit, else feasible).
-MilpStatus MergeMilpStatus(MilpStatus a, MilpStatus b);
-
-// Conservative cross-component merge of the operational outcome. The one
-// deliberate asymmetry (DESIGN.md §12): a kNoIncumbent component degrades
-// only itself — its sub-plan is the trivial zero vector, but the other
-// components' allocations still land, so the merged plan is reported as
-// kTimeLimit (partial) rather than kNoIncumbent. Only when *every*
-// component failed does the merge stay kNoIncumbent and hand the scheduler
-// to its degradation ladder.
-SolveStatus MergeSolveStatus(SolveStatus a, SolveStatus b);
-
-// Solves the components of `decomp` (which must satisfy Splits()) as
-// independent MilpSolver instances scheduled on a thread pool, and stitches
-// the per-component results into one MilpResult over the original variable
-// space. `warm_start`, when sized to the model, is sliced per component.
-// `detect_ms` is folded into the result's decompose_ms alongside the
-// extraction time measured here.
-MilpResult SolveDecomposed(const MilpModel& model, const Decomposition& decomp,
-                           const MilpOptions& options,
-                           std::span<const double> warm_start,
-                           double detect_ms);
+// Searches the components of `decomp` (which must satisfy Splits()) on a
+// thread pool and stitches what they found into facts about `model`: the
+// bound is the sum of the component bounds plus the free variables' best
+// values; an incumbent is held only when every component holds one (free
+// variables sit at their objective-maximizing bound), and it is real if any
+// component found a real one; any component's infeasibility or
+// unboundedness is the model's. `warm_start`, when sized to the model, is
+// sliced per component. Records the component count, decompose_ms
+// (`detect_ms` plus extraction) and the slowest component in `result`.
+SearchFacts SearchComponents(const MilpModel& model,
+                             const Decomposition& decomp,
+                             const MilpOptions& options,
+                             std::span<const double> warm_start,
+                             const CancelToken& deadline, double detect_ms,
+                             MilpResult& result);
 
 }  // namespace tetrisched
 

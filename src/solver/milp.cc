@@ -18,11 +18,20 @@
 #include "src/common/thread_pool.h"
 #include "src/solver/decompose.h"
 #include "src/solver/presolve.h"
+#include "src/solver/search.h"
 
 namespace tetrisched {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+// Integrality tolerance for branching and diving.
+constexpr double kIntTol = 1e-6;
+
+double MillisSince(Clock::time_point since) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - since)
+      .count();
+}
 
 // Registry-backed solver instruments (DESIGN.md §10). The phase histograms
 // attribute each solve's wall-clock to presolve / LP pricing / B&B search;
@@ -178,19 +187,19 @@ std::vector<double> RoundedCopy(const MilpModel& model,
   return rounded;
 }
 
-// Solve() calls so far: the tick axis of WarnNodeIterationLimit.
-std::atomic<int64_t> g_solves{0};
+// Searches so far: the tick axis of WarnNodeIterationLimit.
+std::atomic<int64_t> g_searches{0};
 
 // A model that trips the LP iteration limit tends to trip it in node after
-// node, so this WARN prints at most once per 16 solves process-wide and
+// node, so this WARN prints at most once per 16 searches process-wide and
 // carries the count it swallowed. Any B&B worker may call it.
-void WarnNodeIterationLimit(int64_t solve) {
+void WarnNodeIterationLimit(int64_t search) {
   static std::mutex mu;
   static LogRateLimiter limit(/*every_n_ticks=*/16);
   int64_t suppressed = 0;
   {
     std::lock_guard<std::mutex> lock(mu);
-    if (!limit.ShouldLog(0, solve, &suppressed)) {
+    if (!limit.ShouldLog(0, search, &suppressed)) {
       return;
     }
   }
@@ -200,20 +209,17 @@ void WarnNodeIterationLimit(int64_t solve) {
 
 }  // namespace
 
-MilpSolver::MilpSolver(const MilpModel& model, MilpOptions options)
-    : model_(model), options_(options) {}
+int WorkerCount(const MilpOptions& options) {
+  return std::max(1, options.num_threads > 0 ? options.num_threads
+                                             : ThreadPool::HardwareThreads());
+}
 
-MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
-  const auto start_time = Clock::now();
-  const int64_t solve_tick = g_solves.fetch_add(1, std::memory_order_relaxed);
-  auto elapsed = [&]() {
-    return std::chrono::duration<double>(Clock::now() - start_time).count();
-  };
+SearchFacts SearchTree(const MilpModel& model, const MilpOptions& options,
+                       std::span<const double> warm_start,
+                       const CancelToken& deadline) {
+  const int64_t search_tick =
+      g_searches.fetch_add(1, std::memory_order_relaxed);
   SolverInstruments& ins = Instruments();
-  auto millis_since = [](Clock::time_point since) {
-    return std::chrono::duration<double, std::milli>(Clock::now() - since)
-        .count();
-  };
   // Per-LP-call latency only reads the clock when observability is on; the
   // iteration counter flush happens at the call sites as before.
   auto timed_lp = [&](LpSolver& lp, std::span<const double> lo,
@@ -224,120 +230,13 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
     }
     const auto lp_start = Clock::now();
     LpResult lp_result = lp.Solve(lo, hi, warm);
-    ins.lp_ms->Observe(millis_since(lp_start));
+    ins.lp_ms->Observe(MillisSince(lp_start));
     return lp_result;
   };
+  const int num_workers = WorkerCount(options);
 
-  const int num_workers =
-      std::max(1, options_.num_threads > 0 ? options_.num_threads
-                                           : ThreadPool::HardwareThreads());
-
-  // A non-positive budget means "no solve attempt": report no-incumbent
-  // explicitly so callers exercise their degradation path instead of
-  // misreading a trivially empty plan as a decision.
-  if (options_.time_limit_seconds <= 0.0) {
-    MilpResult result;
-    result.status = MilpStatus::kNoSolution;
-    result.solve_status = SolveStatus::kNoIncumbent;
-    result.threads_used = num_workers;
-    result.solve_seconds = elapsed();
-    return result;
-  }
-
-  // Hard deadline for this solve: the internal wall-clock limit composed
-  // with any external token (earliest wins). Threaded through every LP solve
-  // below — root, workers, diving, presolve recursion, decomposed components
-  // — so expiry is honored inside a pivot loop, not just at node boundaries.
-  CancelToken deadline;
-  deadline.ArmAfterSeconds(options_.time_limit_seconds);
-  if (options_.cancel != nullptr &&
-      options_.cancel->deadline_nanos() < deadline.deadline_nanos()) {
-    deadline.ArmAtNanos(options_.cancel->deadline_nanos());
-  }
-
-  if (options_.enable_presolve) {
-    const auto presolve_start = Clock::now();
-    // The presolve span pauses around the recursive solve of the reduced
-    // model (which reports its own setup/root/branch_and_bound spans as
-    // siblings) so trace durations stay additive, then resumes for the
-    // solution-restore tail.
-    std::optional<ScopedSpan> presolve_span;
-    presolve_span.emplace("solver.presolve");
-    Presolver presolver(model_);
-    ins.presolve_fixed_vars->Increment(presolver.num_fixed_vars());
-    ins.presolve_dropped_rows->Increment(presolver.num_dropped_rows());
-    if (presolver.infeasible()) {
-      ins.presolve_ms->Observe(millis_since(presolve_start));
-      MilpResult result;
-      result.status = MilpStatus::kInfeasible;
-      result.threads_used = num_workers;
-      result.solve_seconds = elapsed();
-      return result;
-    }
-    if (presolver.num_fixed_vars() > 0 ||
-        presolver.num_dropped_rows() > 0) {
-      std::vector<double> projected_warm;
-      if (!warm_start.empty() &&
-          static_cast<int>(warm_start.size()) == model_.num_vars()) {
-        projected_warm = presolver.ProjectSolution(warm_start);
-      }
-      MilpOptions inner_options = options_;
-      inner_options.enable_presolve = false;
-      // The inner solve restarts its elapsed clock; the composed token keeps
-      // the original absolute deadline binding across the recursion.
-      inner_options.cancel = &deadline;
-      MilpSolver inner(presolver.reduced(), inner_options);
-      // Reduction work ends here; the inner solve reports its own lp /
-      // branch_and_bound phases against the reduced model.
-      ins.presolve_ms->Observe(millis_since(presolve_start));
-      presolve_span.reset();
-      MilpResult result = inner.Solve(projected_warm);
-      presolve_span.emplace("solver.presolve");
-      if (result.HasSolution()) {
-        result.values = presolver.RestoreSolution(result.values);
-        result.objective = model_.ObjectiveValue(result.values);
-      }
-      result.best_bound += presolver.objective_offset();
-      result.solve_seconds = elapsed();
-      return result;
-    }
-    ins.presolve_ms->Observe(millis_since(presolve_start));
-  }
-
-  // Component decomposition (decompose.h / DESIGN.md §12). Runs on the
-  // post-presolve model: by this point presolve either found nothing (we fell
-  // through above) or this is the inner recursion's frame solving the reduced
-  // model, whose severed couplings are exactly what detection exploits. When
-  // the model splits, each component is solved as an independent MilpSolver
-  // (with enable_decomposition off) and the stitched result returns here;
-  // single-component models fall through to the monolithic search below with
-  // nothing but an O(nonzeros) detection pass spent.
-  if (options_.enable_decomposition) {
-    std::optional<ScopedSpan> decompose_span;
-    decompose_span.emplace("solver.decompose");
-    const auto detect_start = Clock::now();
-    Decomposition decomp = DetectComponents(model_);
-    const double detect_ms = millis_since(detect_start);
-    ins.decompose_ms->Observe(detect_ms);
-    ins.components->Observe(std::max(1, decomp.num_components));
-    ins.largest_component_vars->Observe(decomp.largest_component_vars());
-    if (decomp.Splits()) {
-      // Component solves flush their own node / LP-iteration / solve totals
-      // into the registry; the stitched frame adds nothing on top. Each
-      // component composes its pooled slice with this solve's deadline.
-      MilpOptions decomposed_options = options_;
-      decomposed_options.cancel = &deadline;
-      MilpResult decomposed = SolveDecomposed(model_, decomp,
-                                              decomposed_options, warm_start,
-                                              detect_ms);
-      decomposed.solve_seconds = elapsed();
-      return decomposed;
-    }
-  }
-
-  MilpResult result;
-  result.threads_used = num_workers;
-  const int n = model_.num_vars();
+  SearchFacts facts;
+  const int n = model.num_vars();
 
   // Covers tableau construction and incumbent seeding (the work between
   // presolve and the root relaxation); closed just before the root LP so
@@ -345,14 +244,14 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
   std::optional<ScopedSpan> setup_span;
   setup_span.emplace("solver.setup");
 
-  LpOptions lp_options = options_.lp;
+  LpOptions lp_options = options.lp;
   lp_options.cancel = &deadline;
-  LpSolver root_lp(model_, lp_options);
+  LpSolver root_lp(model, lp_options);
 
   std::vector<double> root_lower(n), root_upper(n);
   for (int v = 0; v < n; ++v) {
-    root_lower[v] = model_.lower_bound(v);
-    root_upper[v] = model_.upper_bound(v);
+    root_lower[v] = model.lower_bound(v);
+    root_upper[v] = model.upper_bound(v);
   }
 
   // ---- State shared between workers -------------------------------------
@@ -393,25 +292,31 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
   std::atomic<long> lp_iterations{0};
   std::atomic<int> nodes_since_improvement{0};
 
-  auto finalize_counts = [&]() {
-    result.nodes = nodes.load(std::memory_order_relaxed);
-    result.lp_iterations = lp_iterations.load(std::memory_order_relaxed);
-    result.solve_seconds = elapsed();
-    // Flush this solve's totals into the process-wide registry. The
-    // presolve-recursion path never reaches here in the outer frame, so the
-    // inner solve's flush is the only one and nothing double-counts.
+  // Every exit of the search: hand over the incumbent with the counters,
+  // and flush the counters into the process-wide registry (once per search,
+  // so a decomposed solve counts each component).
+  auto finish = [&]() {
+    facts.nodes = nodes.load(std::memory_order_relaxed);
+    facts.lp_iterations = lp_iterations.load(std::memory_order_relaxed);
     ins.solves->Increment();
-    ins.nodes->Increment(result.nodes);
-    ins.lp_iterations->Increment(result.lp_iterations);
+    ins.nodes->Increment(facts.nodes);
+    ins.lp_iterations->Increment(facts.lp_iterations);
+    facts.held = have_incumbent;
+    if (have_incumbent) {
+      facts.values = std::move(incumbent);
+      facts.objective = incumbent_obj;
+      facts.found = real_incumbent.load(std::memory_order_relaxed);
+    }
+    return std::move(facts);
   };
 
   auto offer_incumbent = [&](std::span<const double> values,
                              bool from_search = true) {
-    std::vector<double> rounded = RoundedCopy(model_, values);
-    if (!model_.IsFeasible(rounded, 1e-5)) {
+    std::vector<double> rounded = RoundedCopy(model, values);
+    if (!model.IsFeasible(rounded, 1e-5)) {
       return false;
     }
-    double obj = model_.ObjectiveValue(rounded);
+    double obj = model.ObjectiveValue(rounded);
     std::lock_guard<std::mutex> lock(incumbent_mu);
     if (!have_incumbent || obj > incumbent_obj) {
       // Any strict improvement resets the stall counter, including the very
@@ -450,10 +355,10 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
       return false;
     }
     double gap = bound - inc;
-    if (gap <= options_.abs_gap) {
+    if (gap <= options.abs_gap) {
       return true;
     }
-    return gap <= options_.rel_gap * std::max(std::abs(inc), 1e-9);
+    return gap <= options.rel_gap * std::max(std::abs(inc), 1e-9);
   };
 
   // Diving heuristic: from a fractional LP point, repeatedly fix the most
@@ -473,7 +378,7 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
     LpBasis& basis = scratch.basis;
     const LpBasis* warm = start_basis;
     for (int step = 0; step < 2 * n + 16; ++step) {
-      int v = MostFractionalVar(model_, relax.values, options_.int_tol);
+      int v = MostFractionalVar(model, relax.values, kIntTol);
       if (v < 0) {
         offer_incumbent(relax.values);
         return;
@@ -526,49 +431,25 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
     TETRI_SPAN("solver.root_lp");
     const auto root_lp_start = Clock::now();
     LpResult relax = timed_lp(root_lp, root_lower, root_upper, nullptr);
-    ins.root_lp_ms->Observe(millis_since(root_lp_start));
+    ins.root_lp_ms->Observe(MillisSince(root_lp_start));
     return relax;
   }();
   lp_iterations.fetch_add(root.iterations, std::memory_order_relaxed);
   nodes.store(1, std::memory_order_relaxed);
   if (root.status == LpStatus::kInfeasible) {
-    result.status =
-        have_incumbent ? MilpStatus::kFeasible : MilpStatus::kInfeasible;
-    if (have_incumbent) {
-      result.objective = incumbent_obj;
-      result.values = incumbent;
-      result.best_bound = incumbent_obj;
-      // The incumbent (warm start or zero plan) is all the search will get.
-      result.solve_status = real_incumbent.load(std::memory_order_relaxed)
-                                ? SolveStatus::kOptimal
-                                : SolveStatus::kNoIncumbent;
-    }
-    finalize_counts();
-    return result;
+    // With an incumbent in hand the relaxation contradicts it (a tolerance
+    // disagreement), so it proves nothing and the bound stays infinite.
+    facts.infeasible = !have_incumbent;
+    return finish();
   }
   if (root.status == LpStatus::kUnbounded) {
-    result.status = MilpStatus::kUnbounded;
-    finalize_counts();
-    return result;
+    facts.unbounded = true;
+    return finish();
   }
   if (root.status == LpStatus::kCancelled) {
-    // Deadline expired inside the root relaxation. Return the best incumbent
-    // held so far (warm start or the zero-clamped fallback); the relaxation
-    // never finished, so no honest bound exists.
-    if (have_incumbent) {
-      result.status = MilpStatus::kFeasible;
-      result.objective = incumbent_obj;
-      result.values = incumbent;
-      result.best_bound = kInfinity;
-      result.solve_status = real_incumbent.load(std::memory_order_relaxed)
-                                ? SolveStatus::kTimeLimit
-                                : SolveStatus::kNoIncumbent;
-    } else {
-      result.status = MilpStatus::kNoSolution;
-      result.solve_status = SolveStatus::kNoIncumbent;
-    }
-    finalize_counts();
-    return result;
+    // Deadline expired inside the root relaxation: it never finished, so the
+    // bound stays infinite.
+    return finish();
   }
   // An unfinished relaxation's objective bounds nothing: the root then
   // enters the search with an infinite bound and can never prove optimality
@@ -586,27 +467,22 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
   int root_branch_var =
       root.values.empty()
           ? -1
-          : MostFractionalVar(model_, root.values, options_.int_tol);
+          : MostFractionalVar(model, root.values, kIntTol);
   if (root_branch_var < 0 && root_finished) {
     offer_incumbent(root.values);
-    result.status = MilpStatus::kOptimal;
-    result.solve_status = SolveStatus::kOptimal;
-    result.objective = incumbent_obj;
-    result.values = incumbent;
-    result.best_bound = root.objective;
-    finalize_counts();
-    return result;
+    facts.bound = root.objective;
+    return finish();
   }
   if (root_branch_var < 0) {
     if (!root.values.empty()) {
       offer_incumbent(root.values);  // integral, but not proven optimal
     }
-  } else if (options_.enable_diving) {
+  } else if (options.enable_diving) {
     TETRI_SPAN("solver.root_dive");
     const auto dive_start = Clock::now();
     DiveScratch scratch;
     dive(root_lp, scratch, root_lower, root_upper, root, &root_basis);
-    ins.root_dive_ms->Observe(millis_since(dive_start));
+    ins.root_dive_ms->Observe(MillisSince(dive_start));
   }
 
   {
@@ -642,7 +518,7 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
         if (ObservabilityEnabled()) {
           const auto wait_start = Clock::now();
           queue_cv.wait(lock, runnable);
-          ins.queue_wait_ms->Observe(millis_since(wait_start));
+          ins.queue_wait_ms->Observe(MillisSince(wait_start));
         } else {
           queue_cv.wait(lock, runnable);
         }
@@ -659,17 +535,17 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
         }
         continue;  // spurious wakeup while peers still expand
       }
-      if (nodes.load(std::memory_order_relaxed) >= options_.max_nodes ||
+      if (nodes.load(std::memory_order_relaxed) >= options.max_nodes ||
           deadline.Expired()) {
         limits_hit = true;
         done = true;
         queue_cv.notify_all();
         break;
       }
-      if (options_.stall_node_limit > 0 &&
+      if (options.stall_node_limit > 0 &&
           incumbent_atomic.load(std::memory_order_acquire) != -kInfinity &&
           nodes_since_improvement.load(std::memory_order_relaxed) >=
-              options_.stall_node_limit) {
+              options.stall_node_limit) {
         limits_hit = true;
         stall_hit = true;
         done = true;
@@ -691,7 +567,7 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
       open.pop();
       {
         double inc = incumbent_atomic.load(std::memory_order_acquire);
-        if (inc != -kInfinity && node->bound <= inc + options_.abs_gap) {
+        if (inc != -kInfinity && node->bound <= inc + options.abs_gap) {
           continue;  // cannot improve on the incumbent
         }
       }
@@ -704,7 +580,7 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
       ApplyNodeBounds(*node, lower, upper);
 
       if (!lp.has_value()) {
-        lp.emplace(model_, lp_options);
+        lp.emplace(model, lp_options);
       }
       LpResult relax = timed_lp(*lp, lower, upper, &last_basis);
       int node_count = nodes.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -727,7 +603,7 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
         // stays whatever was proven before the cut.
         hit_cancel = true;
       } else if (relax.status == LpStatus::kIterationLimit) {
-        WarnNodeIterationLimit(solve_tick);
+        WarnNodeIterationLimit(search_tick);
         hit_iteration_limit = true;
       } else if (relax.status == LpStatus::kUnbounded) {
         hit_unbounded = true;
@@ -735,12 +611,11 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
         lp->BasisSnapshot(last_basis);
         node_bound = std::min(node->bound, relax.objective);
         double inc = incumbent_atomic.load(std::memory_order_acquire);
-        if (inc == -kInfinity || node_bound > inc + options_.abs_gap) {
-          branch_var = MostFractionalVar(model_, relax.values,
-                                         options_.int_tol);
+        if (inc == -kInfinity || node_bound > inc + options.abs_gap) {
+          branch_var = MostFractionalVar(model, relax.values, kIntTol);
           if (branch_var < 0) {
             offer_incumbent(relax.values);
-          } else if (options_.enable_diving &&
+          } else if (options.enable_diving &&
                      node_count % kDiveEvery == 0) {
             dive(*lp, scratch, lower, upper, relax, &last_basis);
             if (!gap_satisfied(node_bound)) {
@@ -809,17 +684,16 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
       }
       pool.Wait();
     }
-    ins.branch_and_bound_ms->Observe(millis_since(bnb_start));
+    ins.branch_and_bound_ms->Observe(MillisSince(bnb_start));
   }
 
-  // Result assembly (incumbent copy, status classification) until return.
+  // Fact assembly (final bound, incumbent hand-over) until return.
   TETRI_SPAN("solver.finalize");
 
   // All workers have joined; shared state is safe to read without locks.
   if (found_unbounded) {
-    result.status = MilpStatus::kUnbounded;
-    finalize_counts();
-    return result;
+    facts.unbounded = true;
+    return finish();
   }
 
   double global_bound = final_bound;
@@ -835,32 +709,149 @@ MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
     global_bound = std::max(global_bound, incumbent_obj);
   }
 
-  result.best_bound = global_bound;
-  finalize_counts();
-  if (!have_incumbent) {
-    result.status =
-        limits_hit ? MilpStatus::kNoSolution : MilpStatus::kInfeasible;
-    return result;
+  facts.bound = global_bound;
+  // An exhausted search that found nothing proves the model empty.
+  facts.infeasible = !have_incumbent && !limits_hit;
+  facts.stalled = stall_hit;
+  return finish();
+}
+
+namespace {
+
+// The one place a solve's status is decided: from the final facts, in the
+// caller's model space, after stitching and presolve restoration.
+SolveStatus ClassifySolve(const SearchFacts& facts,
+                          const MilpOptions& options) {
+  if (facts.infeasible) {
+    return SolveStatus::kInfeasible;
   }
-  result.objective = incumbent_obj;
-  result.values = incumbent;
-  if (global_bound <= incumbent_obj + options_.abs_gap) {
-    result.status = MilpStatus::kOptimal;
-    result.solve_status = SolveStatus::kOptimal;
-  } else if (gap_satisfied(global_bound)) {
-    result.status = MilpStatus::kGapLimit;
-    result.solve_status = SolveStatus::kGapMet;
-  } else {
-    result.status = MilpStatus::kFeasible;
-    // A limits-hit search that never improved on the trivial zero plan is
-    // operationally a failed solve, however "feasible" it looks.
-    if (!real_incumbent.load(std::memory_order_relaxed)) {
-      result.solve_status = SolveStatus::kNoIncumbent;
+  if (facts.unbounded) {
+    return SolveStatus::kUnbounded;
+  }
+  if (!facts.held) {
+    return SolveStatus::kNoIncumbent;
+  }
+  if (facts.bound <= facts.objective + options.abs_gap) {
+    return SolveStatus::kOptimal;
+  }
+  const double gap = facts.bound - facts.objective;
+  if (gap <= options.abs_gap ||
+      gap <= options.rel_gap * std::max(std::abs(facts.objective), 1e-9)) {
+    return SolveStatus::kGapMet;
+  }
+  // Unproven: only an incumbent the search found is worth committing.
+  if (!facts.found) {
+    return SolveStatus::kNoIncumbent;
+  }
+  return facts.stalled ? SolveStatus::kStall : SolveStatus::kTimeLimit;
+}
+
+// One pass over `model`: arm the deadline, presolve once, split the reduced
+// model once, search each part (or the whole), stitch, restore. Returns the
+// facts in `model`'s space; records the split's breakdown in `result`.
+SearchFacts SearchModel(const MilpModel& model, const MilpOptions& options,
+                        std::span<const double> warm_start,
+                        MilpResult& result) {
+  SolverInstruments& ins = Instruments();
+  // Hard deadline for this solve: the internal wall-clock limit composed
+  // with any external token (earliest wins). Threaded through every LP solve
+  // below — root, workers, diving, decomposed components — so expiry is
+  // honored inside a pivot loop, not just at node boundaries.
+  CancelToken deadline;
+  deadline.ArmAfterSeconds(options.time_limit_seconds);
+  if (options.cancel != nullptr &&
+      options.cancel->deadline_nanos() < deadline.deadline_nanos()) {
+    deadline.ArmAtNanos(options.cancel->deadline_nanos());
+  }
+
+  // Presolve. The search runs on the reduced model only when presolve
+  // reduced something; otherwise on `model` itself, with no copy.
+  std::optional<Presolver> presolver;
+  const MilpModel* search_model = &model;
+  std::vector<double> projected_warm;
+  if (options.enable_presolve) {
+    TETRI_SPAN("solver.presolve");
+    const auto presolve_start = Clock::now();
+    presolver.emplace(model);
+    ins.presolve_fixed_vars->Increment(presolver->num_fixed_vars());
+    ins.presolve_dropped_rows->Increment(presolver->num_dropped_rows());
+    if (presolver->infeasible()) {
+      ins.presolve_ms->Observe(MillisSince(presolve_start));
+      SearchFacts facts;
+      facts.infeasible = true;
+      return facts;
+    }
+    if (presolver->num_fixed_vars() > 0 ||
+        presolver->num_dropped_rows() > 0) {
+      search_model = &presolver->reduced();
+      if (static_cast<int>(warm_start.size()) == model.num_vars()) {
+        projected_warm = presolver->ProjectSolution(warm_start);
+      }
+      warm_start = projected_warm;
     } else {
-      result.solve_status =
-          stall_hit ? SolveStatus::kStall : SolveStatus::kTimeLimit;
+      presolver.reset();  // nothing to restore
+    }
+    ins.presolve_ms->Observe(MillisSince(presolve_start));
+  }
+
+  // Component decomposition (decompose.h / DESIGN.md §12) of the reduced
+  // model, whose severed couplings are exactly what detection exploits.
+  // Single-component models go to the one search below with nothing but an
+  // O(nonzeros) detection pass spent.
+  std::optional<SearchFacts> split;
+  if (options.enable_decomposition) {
+    TETRI_SPAN("solver.decompose");
+    const auto detect_start = Clock::now();
+    Decomposition decomp = DetectComponents(*search_model);
+    const double detect_ms = MillisSince(detect_start);
+    ins.decompose_ms->Observe(detect_ms);
+    ins.components->Observe(std::max(1, decomp.num_components));
+    ins.largest_component_vars->Observe(decomp.largest_component_vars());
+    if (decomp.Splits()) {
+      split = SearchComponents(*search_model, decomp, options, warm_start,
+                               deadline, detect_ms, result);
     }
   }
+  SearchFacts facts =
+      split.has_value() ? std::move(*split)
+                        : SearchTree(*search_model, options, warm_start,
+                                     deadline);
+
+  if (presolver.has_value()) {
+    TETRI_SPAN("solver.presolve");
+    if (facts.held) {
+      facts.values = presolver->RestoreSolution(facts.values);
+      facts.objective = model.ObjectiveValue(facts.values);
+    }
+    facts.bound += presolver->objective_offset();
+  }
+  return facts;
+}
+
+}  // namespace
+
+MilpSolver::MilpSolver(const MilpModel& model, MilpOptions options)
+    : model_(model), options_(options) {}
+
+MilpResult MilpSolver::Solve(std::span<const double> warm_start) {
+  const auto start_time = Clock::now();
+  MilpResult result;
+  result.threads_used = WorkerCount(options_);
+  // A non-positive budget means "no solve attempt": the empty facts classify
+  // as kNoIncumbent, so callers exercise their degradation path instead of
+  // misreading a trivially empty plan as a decision.
+  SearchFacts facts;
+  if (options_.time_limit_seconds > 0.0) {
+    facts = SearchModel(model_, options_, warm_start, result);
+  }
+  result.status = ClassifySolve(facts, options_);
+  result.values = std::move(facts.values);
+  result.objective = facts.objective;
+  result.best_bound = facts.bound;
+  result.nodes = facts.nodes;
+  result.lp_iterations = facts.lp_iterations;
+  result.solve_seconds =
+      std::chrono::duration<double>(Clock::now() - start_time).count();
   return result;
 }
 

@@ -24,24 +24,14 @@
 
 namespace tetrisched {
 
-enum class MilpStatus {
-  kOptimal,     // proven within abs gap of the true optimum
-  kGapLimit,    // feasible, proven within the requested relative gap
-  kFeasible,    // feasible, but node/time limit hit before proving the gap
-  kInfeasible,  // no feasible assignment exists
-  kUnbounded,
-  kNoSolution,  // limits hit before any incumbent was found
-};
-
 struct MilpOptions {
   double rel_gap = 0.10;         // paper: "within 10% of the optimal"
   double abs_gap = 1e-6;
   int max_nodes = 20000;
   double time_limit_seconds = 10.0;
-  double int_tol = 1e-6;
   bool enable_diving = true;     // root diving heuristic for a fast incumbent
   // Stop after this many B&B nodes without incumbent improvement and return
-  // the incumbent (status kFeasible). 0 disables. The equivalent of a
+  // the incumbent (status kStall). 0 disables. The equivalent of a
   // commercial solver's "solution polishing" abort: on scheduling models the
   // bound is loose, so proving the gap often costs far more than finding the
   // near-optimal solution.
@@ -63,9 +53,9 @@ struct MilpOptions {
   int num_threads = 0;
   // External cooperative deadline (budget.h), composed with
   // time_limit_seconds: the solve arms an internal token at whichever
-  // deadline comes first and threads it through the root LP, presolve
-  // recursion, every branch-and-bound worker's LP solves, the diving
-  // heuristic, and each decomposed component, so the wall-clock limit is
+  // deadline comes first and threads it through the root LP, every
+  // branch-and-bound worker's LP solves, the diving heuristic, and each
+  // decomposed component, so the wall-clock limit is
   // honored *inside* an LP solve rather than only at node boundaries. A solve
   // cut off mid-LP returns the best incumbent so far with
   // SolveStatus::kTimeLimit — never a torn result. Not owned; nullptr (or an
@@ -75,30 +65,30 @@ struct MilpOptions {
 };
 
 struct MilpResult {
-  MilpStatus status = MilpStatus::kNoSolution;
-  // Operational classification of how the solve ended (solve_status.h).
-  // kNoIncumbent whenever `values` holds nothing better than the trivial
-  // all-zero fallback: the caller should not treat it as a schedule.
-  SolveStatus solve_status = SolveStatus::kNoIncumbent;
-  double objective = 0.0;        // incumbent objective (valid unless kNoSolution)
-  std::vector<double> values;    // incumbent assignment
-  double best_bound = 0.0;       // proven upper bound on the optimum
+  // How the solve ended (solve_status.h), set by one classifier from the
+  // final objective and bound in this model's space (DESIGN.md §8).
+  SolveStatus status = SolveStatus::kNoIncumbent;
+  // The incumbent and its objective. Under kNoIncumbent `values` may still
+  // hold the trivial all-zero fallback, which the caller should not treat
+  // as a schedule; it is empty when the solve held nothing at all.
+  double objective = 0.0;
+  std::vector<double> values;
+  double best_bound = kInfinity;  // proven upper bound on the optimum
   int nodes = 0;
   long lp_iterations = 0;
   int threads_used = 1;  // resolved worker count (after the 0 = auto default)
   double solve_seconds = 0.0;
   // Decomposition breakdown (DESIGN.md §12): number of independent
   // components solved (1 = monolithic / bypass), wall-clock spent detecting
-  // and extracting them, and the slowest single component solve. When
-  // components == 1 the two timings stay 0 except for detection cost.
+  // and extracting them, and the slowest single component search. Both
+  // timings stay 0 when the model does not split.
   int components = 1;
   double decompose_ms = 0.0;
   double max_component_ms = 0.0;
 
-  bool HasSolution() const {
-    return status == MilpStatus::kOptimal || status == MilpStatus::kGapLimit ||
-           status == MilpStatus::kFeasible;
-  }
+  // True when the search found a real incumbent (or proved the fallback
+  // optimal): a plan the caller may commit.
+  bool HasSolution() const { return HasIncumbent(status); }
 };
 
 class MilpSolver {

@@ -189,7 +189,7 @@ TEST(CancelTest, DeadlineHonoredMidLpSingleThread) {
   double elapsed = SecondsSince(start);
   EXPECT_LE(elapsed, 2 * options.time_limit_seconds + kWallClockSlop);
   // Cut off this early the solve reports a limit, never a proven optimum.
-  EXPECT_NE(result.status, MilpStatus::kOptimal);
+  EXPECT_NE(result.status, SolveStatus::kOptimal);
   if (result.HasSolution()) {
     // Whatever incumbent survived the cut must still certify clean.
     CertifyReport report = CertifyPlan(model, result, options);
@@ -210,7 +210,7 @@ TEST(CancelTest, DeadlineHonoredMidLpParallel) {
   MilpResult result = MilpSolver(model, options).Solve();
   double elapsed = SecondsSince(start);
   EXPECT_LE(elapsed, 2 * options.time_limit_seconds + kWallClockSlop);
-  EXPECT_NE(result.status, MilpStatus::kOptimal);
+  EXPECT_NE(result.status, SolveStatus::kOptimal);
   if (result.HasSolution()) {
     CertifyReport report = CertifyPlan(model, result, options);
     EXPECT_TRUE(report.ok) << report.failure;
@@ -231,7 +231,7 @@ TEST(CancelTest, ExternalTokenCutsLongConfiguredLimit) {
   EXPECT_LE(SecondsSince(start), kWallClockSlop);
   // Only the trivial zero-clamped fallback can exist this early; the solve
   // must say so, and the scheduler treats kNoIncumbent as "no schedule".
-  EXPECT_EQ(result.solve_status, SolveStatus::kNoIncumbent);
+  EXPECT_EQ(result.status, SolveStatus::kNoIncumbent);
   if (result.HasSolution()) {
     EXPECT_DOUBLE_EQ(result.objective, 0.0);
   }
@@ -318,7 +318,7 @@ TEST(CertifyTest, RejectsCorruptedIncumbent) {
 
   // Claimed-optimal status whose bound cannot cover the incumbent.
   MilpResult bogus_gap = result;
-  bogus_gap.status = MilpStatus::kOptimal;
+  bogus_gap.status = SolveStatus::kOptimal;
   bogus_gap.best_bound = result.objective - 100.0;
   EXPECT_FALSE(CertifyPlan(model, bogus_gap, options).ok);
 }
@@ -347,7 +347,7 @@ TEST(CertifyTest, RejectCountsUnderTheFirstFailedCheck) {
   // A forged bound below the incumbent under a proven-optimal claim: the
   // gap audit fails too, but the bound check fails first.
   MilpResult forged = result;
-  forged.status = MilpStatus::kOptimal;
+  forged.status = SolveStatus::kOptimal;
   forged.best_bound = result.objective - 100.0;
   EXPECT_FALSE(CertifyPlan(model, forged, options).ok);
 

@@ -3,6 +3,9 @@
 // simulated cluster must never oversubscribe, every job must terminate
 // (complete or be dropped), and metrics must be internally consistent.
 
+#include <cctype>
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "src/baseline/capacity_scheduler.h"
@@ -21,6 +24,21 @@ struct Scenario {
   int policy;  // 0 full, 1 NH, 2 NG, 3 NP, 4 CS, 5 delay
   bool inject_failures;
 };
+
+// Names each case after its scenario, e.g. seed1000_grmix_full_faults
+// (ctest appends the printed value to the test name).
+void PrintTo(const Scenario& scenario, std::ostream* os) {
+  static const char* const kPolicies[] = {"full", "nh", "ng",
+                                          "np",   "cs", "delay"};
+  *os << "seed" << scenario.seed << "_";
+  for (const char* c = ToString(scenario.kind); *c != '\0'; ++c) {
+    if (*c != ' ') {
+      *os << static_cast<char>(std::tolower(*c));
+    }
+  }
+  *os << "_" << kPolicies[scenario.policy]
+      << (scenario.inject_failures ? "_faults" : "_nofaults");
+}
 
 class InvariantTest : public ::testing::TestWithParam<Scenario> {};
 

@@ -7,7 +7,9 @@
 // bit-identical to the monolithic search; the decomposed solve is
 // deterministic even with num_threads > 1 (each component runs
 // single-threaded); presolve fixings sever couplings the raw model hides;
-// and cross-component status merging is conservative.
+// and the stitched facts are conservative: an infeasible component makes the
+// model infeasible, and a component holding only its zero plan degrades
+// only itself.
 
 #include <algorithm>
 #include <cmath>
@@ -17,6 +19,7 @@
 
 #include "src/cluster/availability.h"
 #include "src/cluster/cluster.h"
+#include "src/common/budget.h"
 #include "src/common/rng.h"
 #include "src/compiler/compiler.h"
 #include "src/solver/decompose.h"
@@ -105,37 +108,6 @@ TEST(DecomposeDetectTest, FreeVariablesJoinNoComponent) {
   EXPECT_FALSE(decomp.Splits());  // one row-induced component: bypass
 }
 
-TEST(DecomposeMergeTest, MilpStatusWorstClaimWins) {
-  using S = MilpStatus;
-  EXPECT_EQ(MergeMilpStatus(S::kOptimal, S::kOptimal), S::kOptimal);
-  EXPECT_EQ(MergeMilpStatus(S::kOptimal, S::kGapLimit), S::kGapLimit);
-  EXPECT_EQ(MergeMilpStatus(S::kGapLimit, S::kFeasible), S::kFeasible);
-  EXPECT_EQ(MergeMilpStatus(S::kFeasible, S::kNoSolution), S::kNoSolution);
-  EXPECT_EQ(MergeMilpStatus(S::kNoSolution, S::kUnbounded), S::kUnbounded);
-  EXPECT_EQ(MergeMilpStatus(S::kOptimal, S::kInfeasible), S::kInfeasible);
-  EXPECT_EQ(MergeMilpStatus(S::kInfeasible, S::kUnbounded), S::kInfeasible);
-  // Order independence.
-  EXPECT_EQ(MergeMilpStatus(S::kGapLimit, S::kOptimal), S::kGapLimit);
-  EXPECT_EQ(MergeMilpStatus(S::kInfeasible, S::kOptimal), S::kInfeasible);
-}
-
-TEST(DecomposeMergeTest, NoIncumbentComponentDegradesOnlyItself) {
-  using S = SolveStatus;
-  // A failed component among successful ones -> partial plan (kTimeLimit),
-  // never a full-cycle kNoIncumbent...
-  EXPECT_EQ(MergeSolveStatus(S::kNoIncumbent, S::kOptimal), S::kTimeLimit);
-  EXPECT_EQ(MergeSolveStatus(S::kOptimal, S::kNoIncumbent), S::kTimeLimit);
-  EXPECT_EQ(MergeSolveStatus(S::kNoIncumbent, S::kGapMet), S::kTimeLimit);
-  EXPECT_EQ(MergeSolveStatus(S::kStall, S::kNoIncumbent), S::kStall);
-  // ...unless every component failed.
-  EXPECT_EQ(MergeSolveStatus(S::kNoIncumbent, S::kNoIncumbent),
-            S::kNoIncumbent);
-  // Without failures the merge is the plain worst-of ladder.
-  EXPECT_EQ(MergeSolveStatus(S::kOptimal, S::kOptimal), S::kOptimal);
-  EXPECT_EQ(MergeSolveStatus(S::kOptimal, S::kGapMet), S::kGapMet);
-  EXPECT_EQ(MergeSolveStatus(S::kGapMet, S::kTimeLimit), S::kTimeLimit);
-}
-
 TEST(SolverDecomposeTest, BlockDiagonalParityExactGap) {
   // Randomized block-diagonal instances: the stitched optimum must equal the
   // monolithic optimum exactly (rel_gap = 0 on both sides).
@@ -163,7 +135,7 @@ TEST(SolverDecomposeTest, BlockDiagonalParityExactGap) {
     ASSERT_TRUE(split.HasSolution()) << "seed " << seed;
     EXPECT_EQ(mono.components, 1) << "seed " << seed;
     EXPECT_GE(split.components, 2) << "seed " << seed;
-    EXPECT_EQ(split.status, MilpStatus::kOptimal) << "seed " << seed;
+    EXPECT_EQ(split.status, SolveStatus::kOptimal) << "seed " << seed;
     EXPECT_NEAR(split.objective, mono.objective, 1e-5) << "seed " << seed;
     EXPECT_TRUE(model.IsFeasible(split.values)) << "seed " << seed;
     EXPECT_GE(split.decompose_ms, 0.0);
@@ -221,7 +193,6 @@ TEST(SolverDecomposeTest, SingleComponentBypassIsBitIdentical) {
   ASSERT_TRUE(bypass.HasSolution());
   EXPECT_EQ(bypass.components, 1);
   EXPECT_EQ(bypass.status, mono.status);
-  EXPECT_EQ(bypass.solve_status, mono.solve_status);
   EXPECT_EQ(bypass.nodes, mono.nodes);
   EXPECT_EQ(bypass.lp_iterations, mono.lp_iterations);
   EXPECT_EQ(bypass.objective, mono.objective);
@@ -306,9 +277,45 @@ TEST(SolverDecomposeTest, InfeasibleComponentPoisonsWholeModel) {
 
   MilpResult result = MilpSolver(model, options).Solve();
   EXPECT_GE(result.components, 2);
-  EXPECT_EQ(result.status, MilpStatus::kInfeasible);
-  EXPECT_EQ(result.solve_status, SolveStatus::kNoIncumbent);
+  EXPECT_EQ(result.status, SolveStatus::kInfeasible);
+  EXPECT_FALSE(HasIncumbent(result.status));
   EXPECT_FALSE(result.HasSolution());
+}
+
+TEST(SolverDecomposeTest, NoIncumbentComponentDegradesOnlyItself) {
+  // Both blocks are cut off before their root LP: the first holds its
+  // warm-start slice (a real incumbent), the second only its zero plan. The
+  // stitched plan is partial but real, so the solve reports kTimeLimit.
+  MilpModel model;
+  AddDemandSupplyBlock(model, 3, 4.0);  // vars 0..5: (I, P) per job
+  AddDemandSupplyBlock(model, 3, 4.0);  // vars 6..11
+  CancelToken expired;
+  expired.Cancel();
+  MilpOptions options;
+  options.num_threads = 1;
+  options.enable_presolve = false;
+  options.cancel = &expired;
+
+  // The first block grants its first job (I = 1, P = 2); the second
+  // block's slice breaks its P == 2 I row and is dropped.
+  std::vector<double> warm(model.num_vars(), 0.0);
+  warm[0] = 1.0;
+  warm[1] = 2.0;
+  warm[6] = 1.0;
+  MilpResult partial = MilpSolver(model, options).Solve(warm);
+  EXPECT_EQ(partial.components, 2);
+  EXPECT_EQ(partial.status, SolveStatus::kTimeLimit);
+  ASSERT_TRUE(partial.HasSolution());
+  std::vector<double> expected(model.num_vars(), 0.0);
+  expected[0] = 1.0;
+  expected[1] = 2.0;
+  EXPECT_EQ(partial.values, expected);
+
+  // ...unless every component holds only its zero plan.
+  MilpResult none = MilpSolver(model, options).Solve();
+  EXPECT_EQ(none.components, 2);
+  EXPECT_EQ(none.status, SolveStatus::kNoIncumbent);
+  EXPECT_FALSE(none.HasSolution());
 }
 
 TEST(SolverDecomposeTest, WarmStartSlicesAcrossComponents) {

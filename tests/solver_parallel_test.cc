@@ -176,8 +176,8 @@ TEST(SolverParallelTest, StressRandomizedModelsMatchSingleThread) {
 
     ASSERT_TRUE(single.HasSolution()) << "seed " << seed;
     ASSERT_TRUE(parallel.HasSolution()) << "seed " << seed;
-    EXPECT_EQ(single.status, MilpStatus::kOptimal) << "seed " << seed;
-    EXPECT_EQ(parallel.status, MilpStatus::kOptimal) << "seed " << seed;
+    EXPECT_EQ(single.status, SolveStatus::kOptimal) << "seed " << seed;
+    EXPECT_EQ(parallel.status, SolveStatus::kOptimal) << "seed " << seed;
     EXPECT_NEAR(parallel.objective, single.objective, 1e-6)
         << "seed " << seed;
     EXPECT_TRUE(model.IsFeasible(parallel.values)) << "seed " << seed;

@@ -177,7 +177,7 @@ TEST(MilpSolverTest, Knapsack) {
   options.rel_gap = 0.0;
   MilpResult result = MilpSolver(model, options).Solve();
   ASSERT_TRUE(result.HasSolution());
-  EXPECT_EQ(result.status, MilpStatus::kOptimal);
+  EXPECT_EQ(result.status, SolveStatus::kOptimal);
   EXPECT_NEAR(result.objective, 20.0, 1e-6);
   EXPECT_NEAR(result.values[pick[0]], 0.0, 1e-6);
   EXPECT_NEAR(result.values[pick[1]], 1.0, 1e-6);
@@ -207,7 +207,7 @@ TEST(MilpSolverTest, InfeasibleIntegerProblem) {
   model.AddConstraint({{x, 1}}, ConstraintSense::kLessEqual, 0.6);
 
   MilpResult result = MilpSolver(model).Solve();
-  EXPECT_EQ(result.status, MilpStatus::kInfeasible);
+  EXPECT_EQ(result.status, SolveStatus::kInfeasible);
 }
 
 TEST(MilpSolverTest, WarmStartAccepted) {
@@ -316,10 +316,10 @@ TEST_P(MilpRandomTest, MatchesBruteForce) {
   options.rel_gap = 0.0;
   MilpResult result = MilpSolver(model, options).Solve();
   if (best == -kInfinity) {
-    EXPECT_EQ(result.status, MilpStatus::kInfeasible);
+    EXPECT_EQ(result.status, SolveStatus::kInfeasible);
   } else {
     ASSERT_TRUE(result.HasSolution()) << "seed " << GetParam();
-    EXPECT_EQ(result.status, MilpStatus::kOptimal) << "seed " << GetParam();
+    EXPECT_EQ(result.status, SolveStatus::kOptimal) << "seed " << GetParam();
     EXPECT_NEAR(result.objective, best, 1e-5) << "seed " << GetParam();
     EXPECT_TRUE(model.IsFeasible(result.values));
   }
@@ -433,8 +433,8 @@ TEST(MilpBoundTest, RootIterationLimitClaimsNoBound) {
   MilpResult result = MilpSolver(model, options).Solve();
   ASSERT_TRUE(result.HasSolution());
   EXPECT_GE(result.best_bound, result.objective);
-  EXPECT_NE(result.status, MilpStatus::kOptimal);
-  EXPECT_NE(result.status, MilpStatus::kGapLimit);
+  EXPECT_NE(result.status, SolveStatus::kOptimal);
+  EXPECT_NE(result.status, SolveStatus::kGapMet);
   CertifyReport report = CertifyPlan(model, result, options);
   EXPECT_TRUE(report.ok) << report.failure;
 
@@ -443,7 +443,7 @@ TEST(MilpBoundTest, RootIterationLimitClaimsNoBound) {
   model.AddConstraint({{0, 1}, {1, 1}, {2, 1}, {3, 1}, {4, 1}},
                       ConstraintSense::kGreaterEqual, 1);
   MilpResult cut = MilpSolver(model, options).Solve();
-  EXPECT_EQ(cut.status, MilpStatus::kNoSolution);
+  EXPECT_EQ(cut.status, SolveStatus::kNoIncumbent);
 }
 
 }  // namespace
